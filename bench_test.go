@@ -262,6 +262,9 @@ func BenchmarkAblationBatchWidth(b *testing.B) {
 // ===== Functional-stack micro-benchmarks (real goroutines, wall clock) ====
 
 // BenchmarkFunctionalEchoRPC measures the real Go stack's round-trip cost.
+// Like core's BenchmarkSendRecvAllocs it warms the free lists and releases
+// every reply, so it reports the stack's 0 allocs/op (the ledger's
+// core.allocs_per_rpc) rather than the cost of leaking the reply to the GC.
 func BenchmarkFunctionalEchoRPC(b *testing.B) {
 	fab := fabric.NewFabric()
 	cnic, _ := fab.CreateNIC(1, 1, 1024)
@@ -271,12 +274,20 @@ func BenchmarkFunctionalEchoRPC(b *testing.B) {
 	cli := newClient(b, cnic, 2)
 	defer cli.close()
 	payload := make([]byte, 32)
+	echo := func() {
+		resp, err := cli.call(0, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cli.rc.Release(resp)
+	}
+	for i := 0; i < 200; i++ {
+		echo()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.call(0, payload); err != nil {
-			b.Fatal(err)
-		}
+		echo()
 	}
 }
 

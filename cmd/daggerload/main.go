@@ -28,6 +28,7 @@ import (
 	"dagger/internal/fabric"
 	"dagger/internal/stats"
 	"dagger/internal/transport"
+	"dagger/internal/wire"
 )
 
 const (
@@ -71,30 +72,35 @@ func main() {
 	}
 }
 
-func runServer(pc transport.PacketConn, endpoint string, flows int, lifetime time.Duration) {
+// serve attaches an echo server NIC to pc through a bridge whose route
+// table starts empty and is filled from the source address of each client
+// NIC's first frame.
+func serve(pc transport.PacketConn, flows int) (*core.RpcThreadedServer, *transport.Bridge, error) {
 	fab := fabric.NewFabric()
-	// Clients occupy addresses 1..99; all reachable back through the peer
-	// endpoint recorded per inbound frame is not needed — the route table
-	// is filled lazily from the first client's -listen via its frames'
-	// source. For simplicity the server echoes through a wildcard route
-	// installed at first contact.
 	routes := transport.NewRouteTable()
 	bridge := transport.NewBridge(fab, &learningConn{PacketConn: pc, routes: routes}, routes)
-	defer bridge.Close()
-
 	nic, err := fab.CreateNIC(serverNICAddr, flows, 4096)
 	if err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	srv := core.NewRpcThreadedServer(nic, core.ServerConfig{})
 	if err := srv.Register(fnEcho, "load.echo", func(_ context.Context, req []byte) ([]byte, error) {
 		return req, nil
 	}); err != nil {
-		fatal(err)
+		return nil, nil, err
 	}
 	if err := srv.Start(); err != nil {
+		return nil, nil, err
+	}
+	return srv, bridge, nil
+}
+
+func runServer(pc transport.PacketConn, endpoint string, flows int, lifetime time.Duration) {
+	srv, bridge, err := serve(pc, flows)
+	if err != nil {
 		fatal(err)
 	}
+	defer bridge.Close()
 	defer srv.Stop()
 	fmt.Printf("daggerload server: NIC %d on %s, %d flows\n", serverNICAddr, endpoint, flows)
 	if lifetime > 0 {
@@ -106,26 +112,29 @@ func runServer(pc transport.PacketConn, endpoint string, flows int, lifetime tim
 }
 
 // learningConn fills the route table from observed frame sources, so the
-// server can answer clients at any address range without pre-configuration.
+// server can answer any number of client endpoints without
+// pre-configuration: the first frame from a NIC address installs a
+// single-address route back to the endpoint it came from. An address keeps
+// its first endpoint (routes must not overlap), so client processes sharing
+// one server need distinct NIC addresses.
 type learningConn struct {
 	transport.PacketConn
 	routes *transport.RouteTable
-	mu     sync.Mutex
-	known  map[string]bool
+	mu     sync.Mutex // serializes the resolve-then-add of a new source
 }
 
 func (l *learningConn) SetHandler(h func([]byte, string)) {
 	l.PacketConn.SetHandler(func(pkt []byte, from string) {
-		l.mu.Lock()
-		if l.known == nil {
-			l.known = map[string]bool{}
+		// Unparseable packets teach nothing; the bridge rejects them next.
+		if hdr, err := wire.ParseHeader(pkt); err == nil {
+			if _, known := l.routes.Resolve(hdr.SrcAddr); !known {
+				l.mu.Lock()
+				if _, known := l.routes.Resolve(hdr.SrcAddr); !known {
+					l.routes.Add(transport.Route{Lo: hdr.SrcAddr, Hi: hdr.SrcAddr, Endpoint: from})
+				}
+				l.mu.Unlock()
+			}
 		}
-		if !l.known[from] {
-			l.known[from] = true
-			// Client NIC addresses live below the server's.
-			l.routes.Add(transport.Route{Lo: clientNICBase, Hi: serverNICAddr - 1, Endpoint: from})
-		}
-		l.mu.Unlock()
 		h(pkt, from)
 	})
 }

@@ -12,7 +12,7 @@ import (
 // An Analyzer describes one analysis and its checker function.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
-	// //daggervet:ignore=name suppressions.
+	// // dagger:ignore <name> <reason> suppressions.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
@@ -50,18 +50,14 @@ type Pass struct {
 	// annotations across package boundaries.
 	Directives map[*types.Func]Directive
 
-	diags      []Diagnostic
-	suppressed map[string]map[int]bool // filename -> line -> suppressed
-	ignores    *ignoreTable
+	diags   []Diagnostic
+	ignores *ignoreTable
 }
 
 // Reportf records a diagnostic at pos unless that line carries a
-// //daggervet:ignore or // dagger:ignore suppression.
+// // dagger:ignore suppression for this analyzer.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	if lines, ok := p.suppressed[position.Filename]; ok && lines[position.Line] {
-		return
-	}
 	if p.ignores.suppress(p.Analyzer.Name, position) {
 		return
 	}
@@ -93,7 +89,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Pkg:        pkg.Types,
 			Info:       pkg.Info,
 			Directives: pkg.Directives,
-			suppressed: suppressedLines(pkg, a.Name),
 			ignores:    ignores,
 		}
 		if err := a.Run(pass); err != nil {
@@ -120,43 +115,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// suppressedLines maps, per file, the lines on which diagnostics from the
-// named analyzer are suppressed. A comment of the form
-//
-//	//daggervet:ignore        (suppresses every analyzer)
-//	//daggervet:ignore=name   (suppresses one analyzer)
-//
-// suppresses findings on its own line and, when it is the only thing on its
-// line, on the line below.
-func suppressedLines(pkg *Package, analyzer string) map[string]map[int]bool {
-	out := make(map[string]map[int]bool)
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, "daggervet:ignore")
-				if !ok {
-					continue
-				}
-				if name, isEq := strings.CutPrefix(rest, "="); isEq {
-					if strings.TrimSpace(name) != analyzer {
-						continue
-					}
-				} else if strings.TrimSpace(rest) != "" {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				if out[pos.Filename] == nil {
-					out[pos.Filename] = make(map[int]bool)
-				}
-				out[pos.Filename][pos.Line] = true
-				out[pos.Filename][pos.Line+1] = true
-			}
-		}
-	}
-	return out
-}
-
 // An ignoreEntry is one parsed // dagger:ignore directive.
 type ignoreEntry struct {
 	analyzer  string
@@ -167,8 +125,8 @@ type ignoreEntry struct {
 }
 
 // ignoreTable indexes a package's // dagger:ignore directives by the lines
-// they cover (their own line, plus the line below, matching the legacy
-// //daggervet:ignore behavior).
+// they cover: their own line and, so a directive can sit alone above the
+// statement it excuses, the line below.
 type ignoreTable struct {
 	entries []*ignoreEntry
 	byLine  map[string]map[int][]*ignoreEntry

@@ -181,6 +181,12 @@ func TestAnalyzersScopedOut(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, d := range diags {
+			// A fixture's // dagger:ignore has nothing left to suppress once
+			// its analyzer is scoped out; that staleness report is the
+			// correct consequence, not an analyzer firing out of scope.
+			if strings.HasPrefix(d.Message, "unused dagger:ignore suppression") {
+				continue
+			}
 			t.Errorf("%s: diagnostic outside scope: %s", tc.a.Name, d)
 		}
 	}

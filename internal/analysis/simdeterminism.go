@@ -87,7 +87,7 @@ func runSimDeterminism(pass *Pass) error {
 				}
 				if _, isMap := t.Underlying().(*types.Map); isMap && !orderInvariantRange(pass, n) {
 					pass.Reportf(n.Pos(),
-						"map iteration order is randomized; sort the keys first or mark the loop //daggervet:ignore=simdeterminism if provably order-invariant")
+						"map iteration order is randomized; sort the keys first or mark the loop // dagger:ignore simdeterminism <reason> if provably order-invariant")
 				}
 			}
 			return true

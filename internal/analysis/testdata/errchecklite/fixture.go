@@ -40,7 +40,7 @@ func bufferOK(buf *bytes.Buffer, b []byte) {
 }
 
 func suppressed(c *conn, b []byte) {
-	c.Send(b) //daggervet:ignore=errchecklite
+	c.Send(b) // dagger:ignore errchecklite fixture: the suppression itself is under test
 }
 
 func stdoutPrintersOK(n int) {

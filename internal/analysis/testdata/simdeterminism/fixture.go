@@ -70,7 +70,7 @@ func mapOrderCollect(m map[string]int) []string {
 
 func mapOrderSuppressed(m map[string]float64) float64 {
 	best := 0.0
-	//daggervet:ignore=simdeterminism
+	// dagger:ignore simdeterminism fixture: max over values is order-invariant
 	for _, v := range m {
 		if v > best {
 			best = v

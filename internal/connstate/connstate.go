@@ -20,6 +20,8 @@ package connstate
 import (
 	"errors"
 	"fmt"
+
+	"dagger/internal/metrics"
 )
 
 // MaxCachedConnections is the FPGA BRAM-bounded connection cache limit
@@ -57,6 +59,24 @@ type Stats struct {
 	Evictions uint64 // valid entries displaced by a conflicting open or re-cache
 	Opens     uint64 // successful Opens
 	Closes    uint64 // successful Closes
+}
+
+// DescribeMetrics registers the conn.* gauge family into reg over read, an
+// adapter's (locked, if need be) view of its cache's Stats and OpenCount.
+// Both substrates register through here, so the family's names, kinds and
+// derivations are snapshot-comparable by construction.
+func DescribeMetrics(reg *metrics.Registry, read func() (st Stats, open int)) {
+	gauge := func(name string, pick func(st Stats, open int) uint64) {
+		reg.Func(name, func() int64 { return int64(pick(read())) })
+	}
+	gauge("conn.hits", func(st Stats, _ int) uint64 { return st.Hits })
+	gauge("conn.misses", func(st Stats, _ int) uint64 { return st.Misses })
+	gauge("conn.evictions", func(st Stats, _ int) uint64 { return st.Evictions })
+	gauge("conn.opens", func(st Stats, _ int) uint64 { return st.Opens })
+	gauge("conn.closes", func(st Stats, _ int) uint64 { return st.Closes })
+	gauge("conn.open", func(_ Stats, open int) uint64 { return uint64(open) })
+	// Every steering lookup is either a cache hit or a backing-store miss.
+	gauge("conn.lookups", func(st Stats, _ int) uint64 { return st.Hits + st.Misses })
 }
 
 // Cache is the direct-mapped connection cache plus its host backing store.

@@ -146,7 +146,7 @@ func TestConnMissEchoedToClient(t *testing.T) {
 	if got := cli.ConnMisses.Load(); got != 2 {
 		t.Fatalf("client conn misses = %d, want 2 (echoed FlagConnMiss)", got)
 	}
-	if got := snic.ConnMisses(); got != 2 {
+	if got := snic.ConnStats().Misses; got != 2 {
 		t.Fatalf("server NIC conn misses = %d, want 2", got)
 	}
 	// A conflict-free id stays hit-only.

@@ -120,10 +120,14 @@ func TestFaultParity(t *testing.T) {
 	// the plan's tallies (nothing was refused by a full ring/buffer, so
 	// every verdict executed).
 	type tally struct{ drops, dups, delays, corrupts, corruptDrops uint64 }
-	fabT := tally{dst.FaultDrops.Load(), dst.FaultDups.Load(), dst.FaultDelays.Load(),
-		dst.FaultCorrupts.Load(), dst.CorruptDrops.Load()}
-	rxT := tally{rx.FaultDrops.Load(), rx.FaultDups.Load(), rx.FaultDelays.Load(),
-		rx.FaultCorrupts.Load(), rx.CorruptDrops.Load()}
+	rxReg := metrics.New()
+	rx.DescribeMetrics(rxReg)
+	read := func(s metrics.Snapshot) tally {
+		return tally{uint64(s.Value("fault.dropped")), uint64(s.Value("fault.duplicated")),
+			uint64(s.Value("fault.delayed")), uint64(s.Value("fault.corrupted")),
+			uint64(s.Value("fault.corrupt.dropped"))}
+	}
+	fabT, rxT := read(dst.Metrics().Snapshot()), read(rxReg.Snapshot())
 	if fabT != rxT {
 		t.Fatalf("fault counters diverged:\n  fabric %+v\n  rxpath %+v", fabT, rxT)
 	}
@@ -159,8 +163,6 @@ func TestFaultParity(t *testing.T) {
 
 	// The fault.* metrics families diff clean across substrates, like the
 	// conn.*/mark.*/shed.* families.
-	rxReg := metrics.New()
-	rx.DescribeMetrics(rxReg)
 	if diffs := metrics.Diff(
 		dst.Metrics().Snapshot().Filter("fault"),
 		rxReg.Snapshot().Filter("fault"),

@@ -53,7 +53,7 @@ type ChaosPointResult struct {
 	// Requests/Elapsed.
 	Elapsed sim.Time
 	// Fault-stage counters from the server RX path.
-	FaultDrops, FaultDups, FaultDelays, FaultCorrupts, CorruptDrops uint64
+	FaultDrops, FaultCorrupts, CorruptDrops uint64
 	// Metrics is the RX path's registry snapshot at quiescence.
 	Metrics metrics.Snapshot
 }
@@ -157,12 +157,10 @@ func RunChaosPoint(cfg ChaosPointConfig) *ChaosPointResult {
 	eng.Run()
 
 	res.Elapsed = eng.Now()
-	res.FaultDrops = rx.FaultDrops.Load()
-	res.FaultDups = rx.FaultDups.Load()
-	res.FaultDelays = rx.FaultDelays.Load()
-	res.FaultCorrupts = rx.FaultCorrupts.Load()
-	res.CorruptDrops = rx.CorruptDrops.Load()
 	res.Metrics = reg.Snapshot()
+	res.FaultDrops = uint64(res.Metrics.Value("fault.dropped"))
+	res.FaultCorrupts = uint64(res.Metrics.Value("fault.corrupted"))
+	res.CorruptDrops = uint64(res.Metrics.Value("fault.corrupt.dropped"))
 	return res
 }
 

@@ -273,14 +273,13 @@ type SoftNIC struct {
 	// stack's HostLookupPenalty.
 	connMissHook func()
 
-	// Chaos plane (internal/faults): an optional deterministic fault stage
-	// at queue admission. faultMu guards the injector and the held-back
-	// Delay/Reorder frames; it also serializes verdict consumption so the
-	// admission index — and therefore the verdict sequence — is
-	// deterministic under a serial driver.
-	faultMu  sync.Mutex
-	injector *faults.Injector
-	delayed  []delayedFrame
+	// Chaos plane: the shared fault stage (faults.Stage) at queue admission,
+	// idle until SetFaultInjector; it owns the fault.* counters. faultMu
+	// guards it, which also serializes verdict consumption so the admission
+	// index — and therefore the verdict sequence — is deterministic under a
+	// serial driver.
+	faultMu sync.Mutex
+	faults  *faults.Stage[admission]
 
 	// Monitor counters (the packet monitor block). metrics.Counter is a
 	// drop-in for the atomic.Uint64 these grew up as; every NIC registers
@@ -291,28 +290,40 @@ type SoftNIC struct {
 	BytesOut metrics.Counter
 	Drops    metrics.Counter
 
-	// Fault-stage counters (fault.* family, cross-substrate names shared
-	// with nicmodel): verdicts executed at this NIC's admission point.
-	// CorruptDrops counts corrupted frames the header checksum caught and
-	// the NIC discarded instead of dispatching; the chaos gates assert it
-	// equals FaultCorrupts (zero escapes).
-	FaultDrops    metrics.Counter
-	FaultDups     metrics.Counter
-	FaultDelays   metrics.Counter
-	FaultCorrupts metrics.Counter
-	CorruptDrops  metrics.Counter
-
 	reg        *metrics.Registry
 	frameBytes *metrics.Histogram
 }
 
-// delayedFrame is a frame the fault stage is holding back; it releases after
-// remaining further admissions at the same NIC.
-type delayedFrame struct {
+// admission is one frame at a NIC's queue-admission point — the item the
+// fault stage carries.
+type admission struct {
 	fl         *Flow
 	frame      []byte
 	isResponse bool
-	remaining  uint32
+}
+
+// ringSink is the flow rings as the fault stage sees them. It is stateless:
+// every admission names its own flow.
+type ringSink struct{}
+
+func (ringSink) Admit(a admission) bool { return a.fl.deliver(a.frame, a.isResponse) }
+
+func (ringSink) Discard(a admission) { a.fl.pool.Put(a.frame) }
+
+func (ringSink) Clone(a admission) admission {
+	dup := a.fl.pool.Get(len(a.frame))
+	copy(dup, a.frame)
+	a.frame = dup
+	return a
+}
+
+// Corrupt flips the bit and then verifies for real rather than assuming: the
+// header checksum is the hardening under test, and CRC-8 catches every
+// single covered-bit flip, so a corrupted frame is dropped at the NIC and
+// never dispatched.
+func (ringSink) Corrupt(a admission, arg uint32) bool {
+	wire.FlipCoveredBit(a.frame, arg)
+	return !wire.VerifyChecksum(a.frame)
 }
 
 // Metrics returns the NIC's telemetry registry. Shared-policy families use
@@ -328,11 +339,7 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("bytes.in", &n.BytesIn)
 	reg.RegisterCounter("bytes.out", &n.BytesOut)
 	reg.RegisterCounter("drop.ring", &n.Drops)
-	reg.RegisterCounter("fault.dropped", &n.FaultDrops)
-	reg.RegisterCounter("fault.duplicated", &n.FaultDups)
-	reg.RegisterCounter("fault.delayed", &n.FaultDelays)
-	reg.RegisterCounter("fault.corrupted", &n.FaultCorrupts)
-	reg.RegisterCounter("fault.corrupt.dropped", &n.CorruptDrops)
+	n.faults.Describe(reg, "fault.")
 	n.frameBytes = reg.Histogram("frame.bytes")
 	reg.Func("mark.rx.stamped", func() int64 { return int64(n.Marks()) })
 	reg.Func("drop.rx.ring", func() int64 {
@@ -342,18 +349,10 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 		}
 		return int64(total)
 	})
-	reg.Func("conn.hits", func() int64 { return int64(n.ConnStats().Hits) })
-	reg.Func("conn.misses", func() int64 { return int64(n.ConnStats().Misses) })
-	reg.Func("conn.evictions", func() int64 { return int64(n.ConnStats().Evictions) })
-	reg.Func("conn.opens", func() int64 { return int64(n.ConnStats().Opens) })
-	reg.Func("conn.closes", func() int64 { return int64(n.ConnStats().Closes) })
-	reg.Func("conn.open", func() int64 { return int64(n.ConnOpenCount()) })
-	// Every steering lookup is either a cache hit or a backing-store miss;
-	// both substrates derive conn.lookups identically so the family stays
-	// snapshot-comparable.
-	reg.Func("conn.lookups", func() int64 {
-		st := n.ConnStats()
-		return int64(st.Hits + st.Misses)
+	connstate.DescribeMetrics(reg, func() (connstate.Stats, int) {
+		n.mu.RLock()
+		defer n.mu.RUnlock()
+		return n.conns.Stats(), n.conns.OpenCount()
 	})
 }
 
@@ -415,18 +414,6 @@ func (n *SoftNIC) ConnStats() connstate.Stats {
 	return n.conns.Stats()
 }
 
-// ConnHits returns the number of steering lookups served from the
-// connection cache.
-func (n *SoftNIC) ConnHits() uint64 { return n.ConnStats().Hits }
-
-// ConnMisses returns the number of steering lookups that fell back to the
-// host backing store.
-func (n *SoftNIC) ConnMisses() uint64 { return n.ConnStats().Misses }
-
-// ConnEvictions returns the number of cached connection entries displaced
-// by direct-mapped conflicts.
-func (n *SoftNIC) ConnEvictions() uint64 { return n.ConnStats().Evictions }
-
 // ConnOpenCount returns the number of connections the NIC currently holds
 // state for (cached or in the backing store). Close propagation keeps this
 // bounded under connection churn.
@@ -453,10 +440,7 @@ func (n *SoftNIC) Close() {
 		return
 	}
 	n.faultMu.Lock()
-	for _, d := range n.delayed {
-		d.fl.pool.Put(d.frame)
-	}
-	n.delayed = nil
+	n.faults.DiscardHeld()
 	n.faultMu.Unlock()
 	n.fab.remove(n.addr)
 }
@@ -468,8 +452,7 @@ func (n *SoftNIC) Close() {
 func (n *SoftNIC) SetFaultInjector(inj *faults.Injector) {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
-	n.flushFaultsLocked()
-	n.injector = inj
+	n.faults.SetInjector(inj)
 }
 
 // FlushFaults releases every frame the fault stage is holding back (Delay
@@ -479,108 +462,59 @@ func (n *SoftNIC) SetFaultInjector(inj *faults.Injector) {
 func (n *SoftNIC) FlushFaults() {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
-	n.flushFaultsLocked()
+	n.faults.Flush()
 }
 
-func (n *SoftNIC) flushFaultsLocked() {
-	for _, d := range n.delayed {
-		if !d.fl.deliver(d.frame, d.isResponse) {
-			d.fl.pool.Put(d.frame)
-		}
-	}
-	n.delayed = n.delayed[:0]
-}
-
-// admit is the destination NIC's queue-admission point: the deterministic
-// fault stage (when an injector is installed) ahead of ring delivery. admit
-// owns frame on every path and returns false only when the frame itself was
-// refused by a full ring (after recycling it). Fault-stage losses return
-// true: the sender of a frame the chaos plane ate learns no more than the
-// sender of a frame a real fabric lost.
+// admit is the destination NIC's queue-admission point: the fault stage
+// (when an injector is installed) ahead of ring delivery. admit owns frame on
+// every path and returns false only when the frame itself was refused by a
+// full ring (after recycling it). Fault-stage losses return true: the sender
+// of a frame the chaos plane ate learns no more than the sender of a frame a
+// real fabric lost. The idle path stays a direct ring delivery — one lock,
+// one branch — because every RPC pays it.
 func (n *SoftNIC) admit(fl *Flow, frame []byte, isResponse bool) bool {
 	n.faultMu.Lock()
 	defer n.faultMu.Unlock()
-	if n.injector == nil {
-		if !fl.deliver(frame, isResponse) {
-			fl.pool.Put(frame)
-			return false
-		}
-		return true
+	if n.faults.Active() {
+		return n.faults.Deliver(admission{fl: fl, frame: frame, isResponse: isResponse})
 	}
-	v := n.injector.Next()
-	// Age frames held by earlier admissions. They release only after this
-	// admission's own delivery (below), so a Reorder verdict swaps a frame
-	// with its successor rather than riding alongside it.
-	for i := range n.delayed {
-		n.delayed[i].remaining--
-	}
-	ok := true
-	switch v.Class {
-	case faults.Drop:
-		n.FaultDrops.Add(1)
+	if !fl.deliver(frame, isResponse) {
 		fl.pool.Put(frame)
-	case faults.CorruptBit:
-		wire.FlipCoveredBit(frame, v.Arg)
-		n.FaultCorrupts.Add(1)
-		// The header checksum is the hardening under test, so verify for
-		// real rather than assuming: a caught frame is dropped at the NIC,
-		// never dispatched. CRC-8 catches every single covered-bit flip
-		// (the chaos gates assert zero escapes for their seeds).
-		if !wire.VerifyChecksum(frame) {
-			n.CorruptDrops.Add(1)
-			fl.pool.Put(frame)
-		} else if !fl.deliver(frame, isResponse) {
-			fl.pool.Put(frame)
-			ok = false
-		}
-	case faults.Duplicate:
-		// Copy before delivering: ownership of the original transfers to the
-		// ring — and possibly to a concurrent consumer — the moment Push
-		// succeeds.
-		dup := fl.pool.Get(len(frame))
-		copy(dup, frame)
-		if !fl.deliver(frame, isResponse) {
-			fl.pool.Put(frame)
-			ok = false
-		}
-		if fl.deliver(dup, isResponse) {
-			n.FaultDups.Add(1)
-		} else {
-			fl.pool.Put(dup)
-		}
-	case faults.Delay, faults.Reorder:
-		n.FaultDelays.Add(1)
-		rem := v.Arg
-		if rem == 0 {
-			rem = 1
-		}
-		n.delayed = append(n.delayed, delayedFrame{
-			fl: fl, frame: frame, isResponse: isResponse, remaining: rem,
-		})
-	default: // Deliver
-		if !fl.deliver(frame, isResponse) {
-			fl.pool.Put(frame)
-			ok = false
-		}
+		return false
 	}
-	// Release everything now due, in hold order.
-	if len(n.delayed) > 0 {
-		kept := n.delayed[:0]
-		for _, d := range n.delayed {
-			if d.remaining == 0 {
-				if !d.fl.deliver(d.frame, d.isResponse) {
-					d.fl.pool.Put(d.frame)
-				}
-			} else {
-				kept = append(kept, d)
-			}
-		}
-		for i := len(kept); i < len(n.delayed); i++ {
-			n.delayed[i] = delayedFrame{}
-		}
-		n.delayed = kept
+	return true
+}
+
+// steer picks the local flow for an inbound message and reports whether the
+// connection lookup missed the near-memory cache. Responses return to the
+// flow their request left from (§4.2: "the NIC reads this information to
+// ensure that the responses are steered to the same flows where requests
+// came from"); requests go through the balancer and connection manager.
+func (n *SoftNIC) steer(m *wire.Message) (fl *Flow, connMiss bool) {
+	if m.Kind == wire.KindResponse {
+		return n.flows[dataplane.ResponseFlow(m.FlowID, len(n.flows))], false
 	}
-	return ok
+	flow, connMiss := n.pickFlow(m)
+	return n.flows[flow], connMiss
+}
+
+// accept is the destination half of Send and Inject once a frame is steered
+// and marshalled: stamp a connection-cache miss (so the server can echo it
+// and traces can attribute the penalty), admit to the flow's ring, account
+// rpc.in/bytes.in. It owns frame on every path; on ErrRingFull the frame is
+// already recycled and the caller counts the drop — Send on the sending NIC,
+// Inject, which has no local sender, on this one.
+func (n *SoftNIC) accept(fl *Flow, frame []byte, isResponse, connMiss bool) error {
+	if connMiss {
+		wire.StampConnMiss(frame)
+	}
+	size := len(frame)
+	if !n.admit(fl, frame, isResponse) {
+		return ErrRingFull
+	}
+	n.RPCsIn.Add(1)
+	n.BytesIn.Add(uint64(size))
+	return nil
 }
 
 // pickFlow steers an inbound request to a local flow and reports whether
@@ -668,41 +602,22 @@ func (n *SoftNIC) Send(m *wire.Message) error {
 		dst.retireConn(m.SrcAddr, m.ConnID)
 		return nil
 	}
-	var flow uint16
-	var connMiss bool
-	switch m.Kind {
-	case wire.KindResponse:
-		// Responses steer to the flow the request came from (§4.2: "the
-		// NIC reads this information to ensure that the responses are
-		// steered to the same flows where requests came from").
-		flow = dataplane.ResponseFlow(m.FlowID, len(dst.flows))
-	default:
-		flow, connMiss = dst.pickFlow(m)
-	}
 	// Marshal into a buffer from the destination flow's pool; delivery
 	// transfers ownership to the ring, and the consumer recycles it.
-	fl := dst.flows[flow]
+	fl, connMiss := dst.steer(m)
 	frame, err := wire.MarshalAppend(fl.pool.Get(m.WireSize())[:0], m)
 	if err != nil {
 		fl.pool.Put(frame)
 		return err
 	}
-	if connMiss {
-		// The steering lookup fell back to host memory: mark the frame so
-		// the server can echo it and traces can attribute the penalty.
-		wire.StampConnMiss(frame)
-	}
 	n.RPCsOut.Add(1)
 	n.BytesOut.Add(uint64(len(frame)))
 	n.frameBytes.Observe(int64(len(frame)))
-	size := len(frame)
-	if !dst.admit(fl, frame, m.Kind == wire.KindResponse) {
+	err = dst.accept(fl, frame, m.Kind == wire.KindResponse, connMiss)
+	if err != nil {
 		n.Drops.Add(1)
-		return ErrRingFull
 	}
-	dst.RPCsIn.Add(1)
-	dst.BytesIn.Add(uint64(size))
-	return nil
+	return err
 }
 
 // Gateway forwards frames addressed to NICs not present on this fabric —
@@ -787,27 +702,14 @@ func (f *Fabric) Inject(frame []byte) error {
 		f.pool.Put(frame)
 		return nil
 	}
-	var flow uint16
-	var connMiss bool
-	if m.Kind == wire.KindResponse {
-		flow = dataplane.ResponseFlow(m.FlowID, len(dst.flows))
-	} else {
-		flow, connMiss = dst.pickFlow(&m)
-	}
-	if connMiss {
-		wire.StampConnMiss(frame)
-	}
-	fl := dst.flows[flow]
-	size := len(frame)
-	if !dst.admit(fl, frame, m.Kind == wire.KindResponse) {
+	fl, connMiss := dst.steer(&m)
+	err = dst.accept(fl, frame, m.Kind == wire.KindResponse, connMiss)
+	if err != nil {
 		// Count the drop on the destination NIC so cross-host drop
 		// accounting matches the in-process Send path.
 		dst.Drops.Add(1)
-		return ErrRingFull
 	}
-	dst.RPCsIn.Add(1)
-	dst.BytesIn.Add(uint64(size))
-	return nil
+	return err
 }
 
 // DefaultRingDepth is the per-flow RX ring depth if not overridden.
@@ -841,6 +743,7 @@ func (f *Fabric) CreateNICConns(addr uint32, nflows, ringDepth, connCache int) (
 		fab:   f,
 		conns: connstate.New[uint16](connCache),
 	}
+	n.faults = faults.NewStage[admission](ringSink{}, dataplane.RxRingOverflow)
 	for i := 0; i < nflows; i++ {
 		n.flows = append(n.flows, newFlow(ringDepth, f.pool, f.poolCfg))
 	}

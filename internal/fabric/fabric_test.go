@@ -657,9 +657,6 @@ func TestFabricConnCacheThrash(t *testing.T) {
 	if st.Hits != 0 || st.Misses != 6 || st.Evictions != 7 {
 		t.Fatalf("stats = %+v, want 0 hits / 6 misses / 7 evictions", st)
 	}
-	if b.ConnHits() != 0 || b.ConnMisses() != 6 || b.ConnEvictions() != 7 {
-		t.Fatal("counter accessors disagree with ConnStats")
-	}
 	// Every thrash-phase frame was stamped with the conn-miss mark.
 	missed := 0
 	for i := 0; i < b.NumFlows(); i++ {

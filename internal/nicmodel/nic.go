@@ -3,6 +3,7 @@ package nicmodel
 import (
 	"fmt"
 
+	"dagger/internal/connstate"
 	"dagger/internal/dataplane"
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
@@ -128,18 +129,8 @@ func (n *NIC) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("batch.sent", &n.Monitor.BatchesSent)
 	reg.RegisterCounter("reconfig.soft", &n.Monitor.SoftReconfig)
 	n.HCC.DescribeMetrics(reg)
-	reg.Func("conn.hits", func() int64 { return int64(n.CM.Stats().Hits) })
-	reg.Func("conn.misses", func() int64 { return int64(n.CM.Stats().Misses) })
-	reg.Func("conn.evictions", func() int64 { return int64(n.CM.Stats().Evictions) })
-	reg.Func("conn.opens", func() int64 { return int64(n.CM.Stats().Opens) })
-	reg.Func("conn.closes", func() int64 { return int64(n.CM.Stats().Closes) })
-	reg.Func("conn.open", func() int64 { return int64(n.CM.OpenCount()) })
-	// Every steering lookup is either a cache hit or a backing-store miss;
-	// both substrates derive conn.lookups identically so the family stays
-	// snapshot-comparable.
-	reg.Func("conn.lookups", func() int64 {
-		st := n.CM.Stats()
-		return int64(st.Hits + st.Misses)
+	connstate.DescribeMetrics(reg, func() (connstate.Stats, int) {
+		return n.CM.Stats(), n.CM.OpenCount()
 	})
 	reg.Func("tx.enqueued", func() int64 { return int64(n.TX.Enqueued.Load()) })
 	reg.Func("tx.scheduled", func() int64 { return int64(n.TX.Scheduled.Load()) })

@@ -32,12 +32,12 @@ type RxPath struct {
 	cap     int
 	pending []RxEntry
 
-	// Chaos plane (internal/faults): an optional deterministic fault stage
-	// consulted once per Deliver, with the same verdict semantics as the
-	// functional fabric's admission stage so the cross-substrate parity test
-	// can pin them byte-identical.
-	inj     *faults.Injector
-	delayed []delayedRxEntry
+	// Chaos plane: the shared fault stage (faults.Stage) ahead of buffer
+	// admission, idle until SetFaultInjector.
+	faults *faults.Stage[RxEntry]
+	// ready records whether any admission since Deliver or FlushFaults last
+	// cleared it completed a batch — one faulted Deliver can make several.
+	ready bool
 
 	// Counters are metrics.Counter (atomic) so a registry snapshot taken
 	// from another goroutine never races the delivery path.
@@ -46,23 +46,26 @@ type RxPath struct {
 	Dropped   metrics.Counter
 	Batches   metrics.Counter
 	Marked    metrics.Counter // entries congestion-marked at admission
-
-	// Fault-stage counters (fault.* family, cross-substrate names shared
-	// with fabric.SoftNIC). CorruptDrops counts corrupted frames the
-	// modelled header-checksum check caught at admission — never buffered.
-	FaultDrops    metrics.Counter
-	FaultDups     metrics.Counter
-	FaultDelays   metrics.Counter
-	FaultCorrupts metrics.Counter
-	CorruptDrops  metrics.Counter
 }
 
-// delayedRxEntry is an entry the fault stage is holding back; it releases
-// after remaining further Delivers.
-type delayedRxEntry struct {
-	e         RxEntry
-	remaining uint32
+// valueSink supplies the faults.Sink operations that are trivial for the
+// timing model's value-typed queue entries: there is no storage to recycle,
+// a copy is the value itself, and the modelled header-checksum check catches
+// every flip at admission — counted and discarded, never queued (the
+// functional fabric verifies wire.VerifyChecksum for real at the same point).
+type valueSink[T any] struct{}
+
+func (valueSink[T]) Discard(T)              {}
+func (valueSink[T]) Clone(item T) T         { return item }
+func (valueSink[T]) Corrupt(T, uint32) bool { return true }
+
+// rxSink is the RX buffer as the fault stage sees it.
+type rxSink struct {
+	valueSink[RxEntry]
+	r *RxPath
 }
+
+func (s rxSink) Admit(e RxEntry) bool { return s.r.admit(e) }
 
 // DescribeMetrics registers the RX path's counters into reg. The
 // cross-substrate names (mark.rx.stamped and drop.rx.ring) are gauges here,
@@ -72,11 +75,7 @@ func (r *RxPath) DescribeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("rx.received", &r.Received)
 	reg.RegisterCounter("rx.delivered", &r.Delivered)
 	reg.RegisterCounter("rx.batches", &r.Batches)
-	reg.RegisterCounter("fault.dropped", &r.FaultDrops)
-	reg.RegisterCounter("fault.duplicated", &r.FaultDups)
-	reg.RegisterCounter("fault.delayed", &r.FaultDelays)
-	reg.RegisterCounter("fault.corrupted", &r.FaultCorrupts)
-	reg.RegisterCounter("fault.corrupt.dropped", &r.CorruptDrops)
+	r.faults.Describe(reg, "fault.")
 	reg.Func("drop.rx.ring", func() int64 { return int64(r.Dropped.Load()) })
 	reg.Func("mark.rx.stamped", func() int64 { return int64(r.Marked.Load()) })
 }
@@ -94,31 +93,24 @@ func NewRxPath(batch, capEntries int) *RxPath {
 	if capEntries < batch {
 		capEntries = batch
 	}
-	return &RxPath{batch: batch, cap: capEntries}
+	r := &RxPath{batch: batch, cap: capEntries}
+	r.faults = faults.NewStage[RxEntry](rxSink{r: r}, dataplane.RxRingOverflow)
+	return r
 }
 
 // SetFaultInjector installs a deterministic fault stage (internal/faults)
 // ahead of RX-buffer admission; nil uninstalls it. Reconfiguring releases
 // any entries a previous stage was still holding, in hold order.
-func (r *RxPath) SetFaultInjector(inj *faults.Injector) {
-	r.flushFaults()
-	r.inj = inj
-}
+func (r *RxPath) SetFaultInjector(inj *faults.Injector) { r.faults.SetInjector(inj) }
 
 // FlushFaults releases every entry the fault stage is holding back (Delay
 // and Reorder verdicts not yet due) in hold order, reporting whether a batch
 // became pending. Drivers call it when draining a faulted path so every
 // admitted entry is accounted for.
-func (r *RxPath) FlushFaults() (ready bool) { return r.flushFaults() }
-
-func (r *RxPath) flushFaults() (ready bool) {
-	for _, d := range r.delayed {
-		if _, rdy := r.admit(d.e); rdy {
-			ready = true
-		}
-	}
-	r.delayed = r.delayed[:0]
-	return ready
+func (r *RxPath) FlushFaults() (ready bool) {
+	r.ready = false
+	r.faults.Flush()
+	return r.ready
 }
 
 // Deliver places one received RPC into the RX buffer, through the fault
@@ -127,74 +119,22 @@ func (r *RxPath) flushFaults() (ready bool) {
 // Admission is the dataplane queue policy: a full buffer drops the RPC
 // (dataplane.RxRingOverflow, best-effort delivery).
 func (r *RxPath) Deliver(e RxEntry) (ready bool) {
-	if r.inj == nil {
-		_, ready = r.admit(e)
-		return ready
-	}
-	v := r.inj.Next()
-	// Age entries held by earlier Delivers. They release only after this
-	// Deliver's own admission (below), so a Reorder verdict swaps an entry
-	// with its successor — the same ordering contract as the functional
-	// fabric's admission stage.
-	for i := range r.delayed {
-		r.delayed[i].remaining--
-	}
-	switch v.Class {
-	case faults.Drop:
-		r.FaultDrops.Inc()
-	case faults.CorruptBit:
-		// The modelled NIC's header-checksum check catches the flip at
-		// admission: counted and discarded, never buffered (the functional
-		// fabric verifies wire.VerifyChecksum for real at the same point).
-		r.FaultCorrupts.Inc()
-		r.CorruptDrops.Inc()
-	case faults.Duplicate:
-		_, ready = r.admit(e)
-		if ok, rdy := r.admit(e); ok {
-			r.FaultDups.Inc()
-			ready = ready || rdy
-		}
-	case faults.Delay, faults.Reorder:
-		r.FaultDelays.Inc()
-		rem := v.Arg
-		if rem == 0 {
-			rem = 1
-		}
-		r.delayed = append(r.delayed, delayedRxEntry{e: e, remaining: rem})
-	default: // Deliver
-		_, ready = r.admit(e)
-	}
-	// Release everything now due, in hold order.
-	if len(r.delayed) > 0 {
-		kept := r.delayed[:0]
-		for _, d := range r.delayed {
-			if d.remaining == 0 {
-				if _, rdy := r.admit(d.e); rdy {
-					ready = true
-				}
-			} else {
-				kept = append(kept, d)
-			}
-		}
-		for i := len(kept); i < len(r.delayed); i++ {
-			r.delayed[i] = delayedRxEntry{}
-		}
-		r.delayed = kept
-	}
-	return ready
+	r.ready = false
+	r.faults.Deliver(e)
+	return r.ready
 }
 
 // admit is RX-buffer admission proper, past the fault stage: duplicate
 // copies and released held entries come through here without drawing fresh
-// verdicts. It reports whether the entry was admitted and whether a batch
-// became pending.
-func (r *RxPath) admit(e RxEntry) (admitted, ready bool) {
+// verdicts. It reports whether the entry was admitted, and sets r.ready if
+// that completed a batch.
+func (r *RxPath) admit(e RxEntry) bool {
 	depth := len(r.buf) + len(r.pending)
 	if !dataplane.Admit(depth, r.cap) {
 		if dataplane.DropRefused(dataplane.RxRingOverflow) {
 			r.Dropped.Inc()
 		}
-		return false, false
+		return false
 	}
 	// Same mark decision (and same depth expression) as the admission
 	// check: an entry admitted at or past half occupancy carries the
@@ -210,9 +150,9 @@ func (r *RxPath) admit(e RxEntry) (admitted, ready bool) {
 		r.pending = append(r.pending, r.buf...)
 		r.buf = r.buf[:0]
 		r.Batches.Inc()
-		return true, true
+		r.ready = true
 	}
-	return true, false
+	return true
 }
 
 // Flush forces a partial batch out (the soft-configured batch timeout under

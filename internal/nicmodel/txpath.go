@@ -38,13 +38,11 @@ type TxPath struct {
 
 	rrCursor int
 
-	// Chaos plane (internal/faults): an optional deterministic fault stage
-	// consulted once per Enqueue, mirroring the RX-side stage. Because the
-	// TX table's overflow policy is backpressure (not drop), a held entry
-	// whose release finds the table full is re-held for the next admission
-	// instead of being lost.
-	inj     *faults.Injector
-	delayed []delayedTxEntry
+	// Chaos plane: the shared fault stage (faults.Stage) ahead of table
+	// admission, mirroring the RX side. Because the TX table's overflow
+	// policy is backpressure (not drop), a held request whose release finds
+	// the table full is re-held for the next admission instead of being lost.
+	faults *faults.Stage[txRequest]
 
 	// Counters are metrics.Counter (atomic) so a registry snapshot taken
 	// from another goroutine never races the enqueue/schedule path.
@@ -52,23 +50,22 @@ type TxPath struct {
 	Scheduled metrics.Counter
 	Stalls    metrics.Counter // enqueue attempts that found no free slot
 	Marked    metrics.Counter // requests congestion-marked at table admission
-
-	// Fault-stage counters (fault.* family, cross-substrate names).
-	FaultDrops    metrics.Counter
-	FaultDups     metrics.Counter
-	FaultDelays   metrics.Counter
-	FaultCorrupts metrics.Counter
-	CorruptDrops  metrics.Counter
 }
 
-// delayedTxEntry is a request the fault stage is holding back; it releases
-// after remaining further Enqueues.
-type delayedTxEntry struct {
-	flow      uint16
-	rpcID     uint64
-	data      []byte
-	remaining uint32
+// txRequest is one Enqueue's arguments, the item the fault stage carries.
+type txRequest struct {
+	flow  uint16
+	rpcID uint64
+	data  []byte
 }
+
+// txSink is the request table as the fault stage sees it.
+type txSink struct {
+	valueSink[txRequest]
+	t *TxPath
+}
+
+func (s txSink) Admit(q txRequest) bool { return s.t.enqueue(q.flow, q.rpcID, q.data) }
 
 // DescribeMetrics registers the TX path's counters into reg. The NIC
 // registers equivalent read-time gauges instead (its TxPath is rebuilt on
@@ -83,11 +80,7 @@ func (t *TxPath) DescribeMetrics(reg *metrics.Registry) {
 	// fault.* parity names belong to the RX/admission stage (RxPath here,
 	// ring admission on the functional fabric), and both paths may share a
 	// registry.
-	reg.RegisterCounter("fault.tx.dropped", &t.FaultDrops)
-	reg.RegisterCounter("fault.tx.duplicated", &t.FaultDups)
-	reg.RegisterCounter("fault.tx.delayed", &t.FaultDelays)
-	reg.RegisterCounter("fault.tx.corrupted", &t.FaultCorrupts)
-	reg.RegisterCounter("fault.tx.corrupt.dropped", &t.CorruptDrops)
+	t.faults.Describe(reg, "fault.tx.")
 }
 
 // NewTxPath creates a TX path with batch width B over nflows flows.
@@ -106,6 +99,7 @@ func NewTxPath(batch, nflows int) *TxPath {
 	for i := 0; i < n; i++ {
 		t.free = append(t.free, uint32(i))
 	}
+	t.faults = faults.NewStage[txRequest](txSink{t: t}, dataplane.TxTableOverflow)
 	return t
 }
 
@@ -118,27 +112,13 @@ func (t *TxPath) FreeSlots() int { return len(t.free) }
 // SetFaultInjector installs a deterministic fault stage (internal/faults)
 // ahead of request-table admission; nil uninstalls it. Reconfiguring
 // releases any requests a previous stage was still holding, in hold order.
-func (t *TxPath) SetFaultInjector(inj *faults.Injector) {
-	t.flushFaults()
-	t.inj = inj
-}
+func (t *TxPath) SetFaultInjector(inj *faults.Injector) { t.faults.SetInjector(inj) }
 
 // FlushFaults releases every request the fault stage is holding back, in
 // hold order. Requests refused by a full table are lost at this point (the
 // producer that would have absorbed the backpressure is gone); callers drain
 // the scheduler first to avoid that.
-func (t *TxPath) FlushFaults() {
-	t.flushFaults()
-}
-
-func (t *TxPath) flushFaults() {
-	for _, d := range t.delayed {
-		if !t.enqueue(d.flow, d.rpcID, d.data) {
-			t.Stalls.Inc()
-		}
-	}
-	t.delayed = t.delayed[:0]
-}
+func (t *TxPath) FlushFaults() { t.faults.Flush() }
 
 // Enqueue stores an RPC into the request table, through the fault stage when
 // an injector is installed, and pushes its slot reference onto the target
@@ -152,61 +132,7 @@ func (t *TxPath) Enqueue(flow uint16, rpcID uint64, data []byte) bool {
 	if int(flow) >= t.nflows {
 		panic(fmt.Sprintf("nicmodel: flow %d out of range (%d flows)", flow, t.nflows))
 	}
-	if t.inj == nil {
-		return t.enqueue(flow, rpcID, data)
-	}
-	v := t.inj.Next()
-	// Age entries held by earlier Enqueues; releases happen after this
-	// Enqueue's own admission so a Reorder swaps with its successor.
-	for i := range t.delayed {
-		t.delayed[i].remaining--
-	}
-	ok := true
-	switch v.Class {
-	case faults.Drop:
-		t.FaultDrops.Inc()
-	case faults.CorruptBit:
-		// The modelled header-checksum check catches the flip at admission:
-		// counted and discarded, never tabled.
-		t.FaultCorrupts.Inc()
-		t.CorruptDrops.Inc()
-	case faults.Duplicate:
-		ok = t.enqueue(flow, rpcID, data)
-		if t.enqueue(flow, rpcID, data) {
-			t.FaultDups.Inc()
-		}
-	case faults.Delay, faults.Reorder:
-		t.FaultDelays.Inc()
-		rem := v.Arg
-		if rem == 0 {
-			rem = 1
-		}
-		t.delayed = append(t.delayed, delayedTxEntry{
-			flow: flow, rpcID: rpcID, data: data, remaining: rem,
-		})
-	default: // Deliver
-		ok = t.enqueue(flow, rpcID, data)
-	}
-	// Release everything now due, in hold order; a release refused by the
-	// full table re-holds for the next admission (backpressure, not loss).
-	if len(t.delayed) > 0 {
-		kept := t.delayed[:0]
-		for _, d := range t.delayed {
-			if d.remaining == 0 {
-				if !t.enqueue(d.flow, d.rpcID, d.data) {
-					d.remaining = 1
-					kept = append(kept, d)
-				}
-			} else {
-				kept = append(kept, d)
-			}
-		}
-		for i := len(kept); i < len(t.delayed); i++ {
-			t.delayed[i] = delayedTxEntry{}
-		}
-		t.delayed = kept
-	}
-	return ok
+	return t.faults.Deliver(txRequest{flow: flow, rpcID: rpcID, data: data})
 }
 
 // enqueue is request-table admission proper, past the fault stage.

@@ -2,7 +2,6 @@ package overload
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,19 +26,15 @@ const (
 	// chaosLoss is the lossy-transport phase's datagram loss rate; the
 	// reliable protocol must recover every call under it.
 	chaosLoss = 0.01
+	// chaosSeed fixes the fault draw and the link-loss draw.
+	chaosSeed = 0xC4A05
 )
 
 // ChaosConfig parametrizes one functional chaos run.
 type ChaosConfig struct {
-	// Calls is the in-fabric phase's call count (default 400, 100 in quick
-	// mode).
-	Calls int
-	// LossyCalls is the lossy-transport phase's call count (default 100, 30
-	// in quick mode).
-	LossyCalls int
-	// Quick shrinks both phases for CI smoke runs.
+	// Quick shrinks the in-fabric phase from 400 calls to 100 and the
+	// lossy-transport phase from 100 to 30, for CI smoke runs.
 	Quick bool
-	Seed  int64
 }
 
 // ChaosResult is one functional chaos run's outcome. The fault draw is
@@ -151,26 +146,14 @@ var chaosPayload = []byte("chaos-pattern-0123456789abcdef")
 // transport's dead-letter plane. Gate violations come back as errors so
 // daggerbench's CI smoke run fails when the hardening story rots.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	if cfg.Calls <= 0 {
-		cfg.Calls = 400
-		if cfg.Quick {
-			cfg.Calls = 100
-		}
+	res := &ChaosResult{Calls: 400, LossyCalls: 100, LossRate: chaosLoss}
+	if cfg.Quick {
+		res.Calls, res.LossyCalls = 100, 30
 	}
-	if cfg.LossyCalls <= 0 {
-		cfg.LossyCalls = 100
-		if cfg.Quick {
-			cfg.LossyCalls = 30
-		}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 0xC4A05
-	}
-	res := &ChaosResult{LossRate: chaosLoss}
-	if err := runChaosInFabric(cfg, res); err != nil {
+	if err := runChaosInFabric(res); err != nil {
 		return nil, err
 	}
-	if err := runChaosTransport(cfg, res); err != nil {
+	if err := runChaosTransport(res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -180,18 +163,16 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 // server NIC's fault stage at chaosFaultPPM per class. Faulted calls may time
 // out — bounded by chaosTimeout — but none may hang, no corrupted frame may
 // reach dispatch, and goodput must stay high.
-func runChaosInFabric(cfg ChaosConfig, res *ChaosResult) error {
+func runChaosInFabric(res *ChaosResult) error {
 	fab := fabric.NewFabric()
-	clientNIC, err := fab.CreateNIC(clientAddr, 1, ringDepth)
+	r, err := newRig(fab, fab, rigConfig{fn: fnChaos, name: "chaos.echo"})
 	if err != nil {
 		return err
 	}
-	serverNIC, err := fab.CreateNIC(serverAddr, 1, ringDepth)
-	if err != nil {
-		return err
-	}
+	defer r.close()
+	cli, serverNIC := r.cli, r.serverNIC
 	inj, err := faults.NewInjector(faults.Config{
-		Seed: uint64(cfg.Seed),
+		Seed: chaosSeed,
 		Rates: faults.Rates{
 			Drop: chaosFaultPPM, Duplicate: chaosFaultPPM, Delay: chaosFaultPPM,
 			Reorder: chaosFaultPPM, Corrupt: chaosFaultPPM,
@@ -201,29 +182,9 @@ func runChaosInFabric(cfg ChaosConfig, res *ChaosResult) error {
 		return err
 	}
 	serverNIC.SetFaultInjector(inj)
-
-	srv := core.NewRpcThreadedServer(serverNIC, core.ServerConfig{})
-	if err := srv.Register(fnChaos, "chaos.echo", func(_ context.Context, req []byte) ([]byte, error) {
-		return req, nil
-	}); err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Stop()
-	cli, err := core.NewRpcClient(clientNIC, 0)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	if _, err := cli.OpenConnection(serverAddr); err != nil {
-		return err
-	}
 	cli.SetTimeout(chaosTimeout)
 
-	res.Calls = cfg.Calls
-	for i := 0; i < cfg.Calls; i++ {
+	for i := 0; i < res.Calls; i++ {
 		resp, err := cli.Call(fnChaos, chaosPayload)
 		switch {
 		case err == nil:
@@ -242,8 +203,9 @@ func runChaosInFabric(cfg ChaosConfig, res *ChaosResult) error {
 	// and late-response counters settle.
 	serverNIC.FlushFaults()
 	time.Sleep(10 * time.Millisecond)
-	res.NICCorrupts = serverNIC.FaultCorrupts.Load()
-	res.NICCorruptDrops = serverNIC.CorruptDrops.Load()
+	snap := serverNIC.Metrics().Snapshot()
+	res.NICCorrupts = uint64(snap.Value("fault.corrupted"))
+	res.NICCorruptDrops = uint64(snap.Value("fault.corrupt.dropped"))
 	res.LateResponses = cli.Late.Load()
 
 	if res.CorruptAccepted != 0 {
@@ -269,9 +231,9 @@ func runChaosInFabric(cfg ChaosConfig, res *ChaosResult) error {
 // runChaosTransport is the cross-host phase: the reliable protocol must
 // recover every call under real datagram loss, and a dead peer must fail
 // fast through the dead-letter plane rather than hang.
-func runChaosTransport(cfg ChaosConfig, res *ChaosResult) error {
+func runChaosTransport(res *ChaosResult) error {
 	// Lossy link: every call must still succeed.
-	net := newLossyNet(chaosLoss, cfg.Seed)
+	net := newLossyNet(chaosLoss, chaosSeed)
 	cliFab, srvFab := fabric.NewFabric(), fabric.NewFabric()
 	cliRel := transport.NewReliable(net.conn("cli"), transport.ReliableOptions{RTO: 5 * time.Millisecond})
 	srvRel := transport.NewReliable(net.conn("srv"), transport.ReliableOptions{RTO: 5 * time.Millisecond})
@@ -282,36 +244,15 @@ func runChaosTransport(cfg ChaosConfig, res *ChaosResult) error {
 		transport.NewRouteTable(transport.Route{Lo: clientAddr, Hi: clientAddr, Endpoint: "cli"}))
 	defer srvBridge.Close()
 
-	serverNIC, err := srvFab.CreateNIC(serverAddr, 1, ringDepth)
+	r, err := newRig(cliFab, srvFab, rigConfig{fn: fnChaos, name: "chaos.echo"})
 	if err != nil {
 		return err
 	}
-	srv := core.NewRpcThreadedServer(serverNIC, core.ServerConfig{})
-	if err := srv.Register(fnChaos, "chaos.echo", func(_ context.Context, req []byte) ([]byte, error) {
-		return req, nil
-	}); err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Stop()
-	clientNIC, err := cliFab.CreateNIC(clientAddr, 1, ringDepth)
-	if err != nil {
-		return err
-	}
-	cli, err := core.NewRpcClient(clientNIC, 0)
-	if err != nil {
-		return err
-	}
-	defer cli.Close()
-	if _, err := cli.OpenConnection(serverAddr); err != nil {
-		return err
-	}
+	defer r.close()
+	cli := r.cli
 	cli.SetTimeout(10 * time.Second)
 
-	res.LossyCalls = cfg.LossyCalls
-	for i := 0; i < cfg.LossyCalls; i++ {
+	for i := 0; i < res.LossyCalls; i++ {
 		resp, err := cli.Call(fnChaos, chaosPayload)
 		if err != nil {
 			return fmt.Errorf("chaos: lossy-transport call %d not recovered: %w", i, err)
@@ -325,7 +266,7 @@ func runChaosTransport(cfg ChaosConfig, res *ChaosResult) error {
 	res.Retransmits = cliRel.Retransmits.Load() + srvRel.Retransmits.Load()
 
 	// Dead peer: blackholed route, bounded failure.
-	dark := newLossyNet(1.0, cfg.Seed+1)
+	dark := newLossyNet(1.0, chaosSeed+1)
 	deadFab := fabric.NewFabric()
 	deadRel := transport.NewReliable(dark.conn("cli"), transport.ReliableOptions{
 		RTO: 2 * time.Millisecond, MaxRetries: 3,

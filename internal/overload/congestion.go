@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -67,40 +66,18 @@ func RunCongestion(cfg CongestionConfig) (*CongestionResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 200 * time.Millisecond
 	}
-	fab := fabric.NewFabric()
-	clientNIC, err := fab.CreateNIC(clientAddr, 1, ringDepth)
-	if err != nil {
-		return nil, err
-	}
-	serverNIC, err := fab.CreateNIC(serverAddr, 1, congRingDepth)
-	if err != nil {
-		return nil, err
-	}
 	// Dispatch-thread handlers: the spin holds the lone dispatch goroutine,
 	// so every other in-flight request ages in the RX ring where the fabric's
 	// admission-time mark can see the backlog.
-	srv := core.NewRpcThreadedServer(serverNIC, core.ServerConfig{})
-	if err := srv.Register(fnCongested, "congestion.work", func(ctx context.Context, req []byte) ([]byte, error) {
-		for start := time.Now(); time.Since(start) < congService; {
-		}
-		return req, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
-	defer srv.Stop()
-
-	cli, err := core.NewRpcClient(clientNIC, 0)
+	fab := fabric.NewFabric()
+	r, err := newRig(fab, fab, rigConfig{
+		fn: fnCongested, name: "congestion.work", service: congService, serverRing: congRingDepth,
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer cli.Close()
-	conn, err := cli.OpenConnection(serverAddr)
-	if err != nil {
-		return nil, err
-	}
+	defer r.close()
+	cli := r.cli
 
 	res := &CongestionResult{}
 	var (
@@ -144,18 +121,10 @@ func RunCongestion(cfg CongestionConfig) (*CongestionResult, error) {
 
 	res.Marks = cli.Marks.Load()
 	res.Refused = cli.Refused.Load()
-	if st, ok := cli.Congestion(conn); ok {
+	if st, ok := cli.Congestion(r.conn); ok {
 		res.FinalWindow = st.Window
 	}
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50 = latencies[len(latencies)*50/100]
-		idx := len(latencies) * 99 / 100
-		if idx >= len(latencies) {
-			idx = len(latencies) - 1
-		}
-		res.P99 = latencies[idx]
-	}
+	res.P50, res.P99 = latPercentiles(latencies)
 	if res.Completed == 0 {
 		return nil, fmt.Errorf("congestion: no requests completed (issued %d)", res.Issued)
 	}

@@ -1,12 +1,9 @@
 package overload
 
 import (
-	"context"
 	"fmt"
-	"sort"
 	"time"
 
-	"dagger/internal/core"
 	"dagger/internal/fabric"
 )
 
@@ -63,43 +60,25 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 	if cfg.Rounds <= 0 {
 		cfg.Rounds = 6
 	}
+	// The rig's single client flow keeps minted connection ids dense (1, 2,
+	// 3, …): a multi-flow client strides ids by its flow count, covering only
+	// a fraction of the server cache's direct-mapped slots.
 	fab := fabric.NewFabric()
-	// One client flow keeps minted connection ids dense (1, 2, 3, …): a
-	// multi-flow client strides ids by its flow count, covering only a
-	// fraction of the server cache's direct-mapped slots.
-	clientNIC, err := fab.CreateNIC(clientAddr, 1, ringDepth)
+	r, err := newRig(fab, fab, rigConfig{fn: fnConnScale, name: "connscale.echo", connCache: connScaleCache})
 	if err != nil {
 		return nil, err
 	}
-	serverNIC, err := fab.CreateNICConns(serverAddr, 1, ringDepth, connScaleCache)
-	if err != nil {
-		return nil, err
-	}
-	srv := core.NewRpcThreadedServer(serverNIC, core.ServerConfig{})
-	if err := srv.Register(fnConnScale, "connscale.echo", func(_ context.Context, req []byte) ([]byte, error) {
-		return req, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
-	defer srv.Stop()
-
-	cli, err := core.NewRpcClient(clientNIC, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer cli.Close()
+	defer r.close()
+	cli, serverNIC := r.cli, r.serverNIC
 
 	res := &ConnScaleResult{
 		CacheSize:  connScaleCache,
 		FitConns:   connScaleCache / 2,
 		SpillConns: 2 * connScaleCache,
 	}
-	open := func(k int) ([]uint32, error) {
-		ids := make([]uint32, 0, k)
-		for i := 0; i < k; i++ {
+	// grow opens connections until the working set ids holds k of them.
+	grow := func(ids []uint32, k int) ([]uint32, error) {
+		for len(ids) < k {
 			id, err := cli.OpenConnection(serverAddr)
 			if err != nil {
 				return nil, err
@@ -127,7 +106,7 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 
 	// Fit phase: C/2 dense ids occupy distinct slots, so after each
 	// connection's first-contact open every lookup hits.
-	fitIDs, err := open(res.FitConns)
+	fitIDs, err := grow([]uint32{r.conn}, res.FitConns)
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +115,7 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 		return nil, err
 	}
 	res.FitCalls = len(fitLat)
-	res.FitMisses = serverNIC.ConnMisses()
+	res.FitMisses = serverNIC.ConnStats().Misses
 	res.FitP50, res.FitP99 = latPercentiles(fitLat)
 	if res.FitMisses != 0 {
 		return nil, fmt.Errorf("connscale: %d conns inside a %d-entry cache missed %d times",
@@ -149,17 +128,16 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 	// Spill phase: grow the working set to 2C. Each slot now hosts two ids
 	// visited alternately, so after the first round's first-contact opens
 	// every lookup misses, is stamped on the frame, and is echoed back.
-	moreIDs, err := open(res.SpillConns - res.FitConns)
+	allIDs, err := grow(fitIDs, res.SpillConns)
 	if err != nil {
 		return nil, err
 	}
-	allIDs := append(fitIDs, moreIDs...)
 	spillLat, err := callRR(allIDs)
 	if err != nil {
 		return nil, err
 	}
 	res.SpillCalls = len(spillLat)
-	res.SpillMisses = serverNIC.ConnMisses()
+	res.SpillMisses = serverNIC.ConnStats().Misses
 	res.SpillP50, res.SpillP99 = latPercentiles(spillLat)
 	if res.SpillMisses < uint64(res.SpillCalls)/2 {
 		return nil, fmt.Errorf("connscale: %d conns over a %d-entry cache missed only %d/%d lookups",
@@ -184,20 +162,4 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 			res.FinalOpen, res.SpillConns)
 	}
 	return res, nil
-}
-
-// latPercentiles returns the p50 and p99 of the recorded latencies.
-func latPercentiles(lat []time.Duration) (p50, p99 time.Duration) {
-	if len(lat) == 0 {
-		return 0, 0
-	}
-	sorted := make([]time.Duration, len(lat))
-	copy(sorted, lat)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	p50 = sorted[len(sorted)*50/100]
-	idx := len(sorted) * 99 / 100
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return p50, sorted[idx]
 }

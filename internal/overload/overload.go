@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -83,51 +82,22 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 300 * time.Millisecond
 	}
-	fab := fabric.NewFabric()
-	clientNIC, err := fab.CreateNIC(clientAddr, 1, ringDepth)
-	if err != nil {
-		return nil, err
-	}
-	// One server flow = one dispatch thread = one core, matching the
-	// timing-stack overload model.
-	serverNIC, err := fab.CreateNIC(serverAddr, 1, ringDepth)
-	if err != nil {
-		return nil, err
-	}
 	// Worker-thread model with a single worker: the dispatch thread plays the
 	// NIC dispatcher (drains the ring, stamps each request's arrival) and the
 	// lone worker plays the server core, so budget spent queueing for the
 	// core is visible to the shed policy. Under DispatchThreads the arrival
 	// stamp lands at ring dequeue, right before execution, and queue wait
 	// hides in the RX ring where ShedDecision cannot see it.
-	srv := core.NewRpcThreadedServer(serverNIC, core.ServerConfig{
-		Threading:   core.WorkerThreads,
-		Workers:     1,
-		WorkerQueue: ringDepth,
+	fab := fabric.NewFabric()
+	r, err := newRig(fab, fab, rigConfig{
+		fn: fnWork, name: "overload.work", service: serviceTime,
+		server: core.ServerConfig{Threading: core.WorkerThreads, Workers: 1, WorkerQueue: ringDepth},
 	})
-	if err := srv.Register(fnWork, "overload.work", func(ctx context.Context, req []byte) ([]byte, error) {
-		// Spin rather than sleep: time.Sleep's millisecond-scale minimum
-		// granularity would inflate the 200us service time ~5x and move
-		// the saturation point the sweep is calibrated against.
-		for start := time.Now(); time.Since(start) < serviceTime; {
-		}
-		return req, nil
-	}); err != nil {
-		return nil, err
-	}
-	if err := srv.Start(); err != nil {
-		return nil, err
-	}
-	defer srv.Stop()
-
-	cli, err := core.NewRpcClient(clientNIC, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer cli.Close()
-	if _, err := cli.OpenConnection(serverAddr); err != nil {
-		return nil, err
-	}
+	defer r.close()
+	cli, srv := r.cli, r.srv
 
 	offeredRPS := cfg.OfferedMultiple * float64(time.Second) / float64(serviceTime)
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
@@ -193,15 +163,7 @@ func Run(cfg Config) (*Result, error) {
 	// context deadline fired and the client records a Dropped, not ErrShed.
 	res.Shed = int(srv.Shed.Load())
 
-	if len(latencies) > 0 {
-		sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-		res.P50 = latencies[len(latencies)*50/100]
-		idx := len(latencies) * 99 / 100
-		if idx >= len(latencies) {
-			idx = len(latencies) - 1
-		}
-		res.P99 = latencies[idx]
-	}
+	res.P50, res.P99 = latPercentiles(latencies)
 	if res.Completed == 0 {
 		return nil, fmt.Errorf("overload: no requests completed (issued %d)", res.Issued)
 	}

@@ -158,4 +158,6 @@ func (d *Decoder) Bytes16() []byte {
 // String16 reads a 16-bit length-prefixed string. Unlike Bytes16 it must
 // copy: the decoder aliases the payload buffer, and an aliased string would
 // break Go's string immutability when the buffer is reused.
-func (d *Decoder) String16() string { return string(d.Bytes16()) } //daggervet:ignore=hotpathalloc
+//
+// dagger:ignore hotpathalloc the copy is the contract: an aliased string would mutate when the buffer is reused
+func (d *Decoder) String16() string { return string(d.Bytes16()) }

@@ -19,7 +19,7 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00}, 3*CacheLineSize))
 	// A v1-magic frame: the old 32-byte header layout must be rejected.
 	v1 := append([]byte(nil), good...)
-	binary.LittleEndian.PutUint16(v1, MagicV1)
+	binary.LittleEndian.PutUint16(v1, 0xDA66)
 	f.Add(v1)
 	// A frame truncated inside the widened header extension.
 	f.Add(append([]byte(nil), good[:HeaderSize-4]...))
@@ -36,10 +36,13 @@ func FuzzUnmarshal(f *testing.F) {
 	missed := append([]byte(nil), good...)
 	StampConnMiss(missed)
 	f.Add(missed)
-	// A pre-checksum frame (byte 37 zeroed) must still decode, unchecked.
-	legacy := append([]byte(nil), good...)
-	legacy[37] = 0
-	f.Add(legacy)
+	// A checksum byte overwritten with 0x00 is rejected like any mismatch.
+	zeroed := append([]byte(nil), good...)
+	zeroed[37] = 0
+	if _, _, err := Unmarshal(zeroed); err != ErrBadChecksum {
+		f.Fatalf("zeroed checksum seed: Unmarshal = %v, want ErrBadChecksum", err)
+	}
+	f.Add(zeroed)
 	// Corrupted-header seeds: a covered-bit flip and a clobbered checksum
 	// byte must both be rejected with ErrBadChecksum, never dispatched.
 	flipped := append([]byte(nil), good...)

@@ -19,9 +19,7 @@ const CacheLineSize = 64
 // first cache line. Header v2 grew from 32 to 40 bytes to carry the per-RPC
 // deadline budget; byte 36 has since been claimed from the reserved tail for
 // the congestion occupancy hint and byte 37 for the header checksum (bytes
-// 38-39 remain reserved). Claiming a reserved-zero byte needs no magic bump:
-// frames encoded before the field existed decode with Occupancy 0 ("no
-// hint") and checksum 0 ("unchecked legacy frame").
+// 38-39 remain reserved).
 const HeaderSize = 40
 
 // FirstLinePayload is the payload capacity of the first cache line.
@@ -40,10 +38,6 @@ const MaxFrameSize = (1 + (MaxPayload-FirstLinePayload+CacheLineSize-1)/CacheLin
 // header grew its budget field so v1 frames are rejected cleanly rather than
 // misparsed (the layouts are not compatible).
 const Magic uint16 = 0xDA67
-
-// MagicV1 is the pre-budget header magic. Kept only so tests can assert that
-// old-layout frames are rejected with ErrBadMagic.
-const MagicV1 uint16 = 0xDA66
 
 // Kind distinguishes message types multiplexed over one symmetric stack
 // (the paper: "Request types are distinguished by the request type field").
@@ -185,7 +179,7 @@ func MarshalAppend(dst []byte, m *Message) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[28:], m.DstAddr)
 	binary.LittleEndian.PutUint32(b[32:], m.Budget)
 	b[occupancyOffset] = m.Occupancy
-	b[checksumOffset] = encodeChecksum(headerChecksum(b))
+	b[checksumOffset] = headerChecksum(b)
 	// b[38:40] reserved, zero.
 	copy(b[HeaderSize:], m.Payload)
 	return dst, nil
@@ -197,14 +191,9 @@ const occupancyOffset = 36
 
 // checksumOffset is the byte offset of the header checksum, claimed from the
 // reserved-zero tail: a CRC-8 over the header with the in-flight-mutable
-// bits masked out. A stored value of 0 means "unchecked legacy frame"
-// (frames encoded before the field existed), so verification skips it and
-// the encoder substitutes checksumZeroValue when the CRC computes to 0.
+// bits masked out. Every frame carries one and every decoder checks it; no
+// stored value means "unchecked".
 const checksumOffset = 37
-
-// checksumZeroValue is stored when the header's CRC-8 computes to 0, keeping
-// 0 free as the legacy "no checksum" sentinel.
-const checksumZeroValue = 0xFF
 
 // crc8Table is the CRC-8 lookup table for the SMBus polynomial x^8+x^2+x+1
 // (0x07), the classic one-byte header CRC.
@@ -246,26 +235,12 @@ func headerChecksum(b []byte) byte {
 	return c
 }
 
-// encodeChecksum maps a computed CRC to its stored form, keeping 0 reserved
-// for "unchecked legacy frame".
-func encodeChecksum(c byte) byte {
-	if c == 0 {
-		return checksumZeroValue
-	}
-	return c
-}
-
-// VerifyChecksum reports whether a frame's header checksum is consistent:
-// either the legacy 0 ("no checksum", pre-checksum frames pass unchecked) or
-// a stored CRC matching the recomputed one. NIC admission uses it to drop
-// corrupted frames before they reach a ring; ParseHeader applies the same
-// check, so a corrupt frame that slips past a NIC still cannot dispatch.
+// VerifyChecksum reports whether a frame's stored header checksum matches
+// the recomputed one. NIC admission uses it to drop corrupted frames before
+// they reach a ring; ParseHeader applies the same check, so a corrupt frame
+// that slips past a NIC still cannot dispatch.
 func VerifyChecksum(frame []byte) bool {
-	if len(frame) < HeaderSize {
-		return false
-	}
-	stored := frame[checksumOffset]
-	return stored == 0 || stored == encodeChecksum(headerChecksum(frame))
+	return len(frame) >= HeaderSize && frame[checksumOffset] == headerChecksum(frame)
 }
 
 // coveredHeaderBits is the size of the checksum-covered bit region
@@ -279,10 +254,7 @@ const coveredHeaderBits = 3*8 + 6 + 32*8 + 2*8
 // selecting the position from bit modulo coveredHeaderBits. It is the
 // CorruptBit fault's mutation: because the flipped bit is always covered,
 // CRC-8's single-bit error detection guarantees VerifyChecksum rejects the
-// frame afterwards (except the 1-in-256 class of frames storing the
-// zero-substitute, where one specific flip position can alias; the chaos
-// gates assert zero escapes for their seeds). Frames too short to hold a
-// header are left untouched.
+// frame afterwards. Frames too short to hold a header are left untouched.
 func FlipCoveredBit(frame []byte, bit uint32) {
 	if len(frame) < HeaderSize {
 		return
@@ -376,9 +348,7 @@ func ParseHeader(buf []byte) (Header, error) {
 		return Header{}, ErrTooLarge
 	}
 	// Checksum last, so malformed-field errors keep their specific identity.
-	// Stored 0 is a pre-checksum frame: decoded unchecked for v1 (of the
-	// 40-byte layout) compatibility.
-	if stored := buf[checksumOffset]; stored != 0 && stored != encodeChecksum(headerChecksum(buf)) {
+	if buf[checksumOffset] != headerChecksum(buf) {
 		return Header{}, ErrBadChecksum
 	}
 	return h, nil

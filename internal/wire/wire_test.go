@@ -131,7 +131,7 @@ func TestHeaderV2Layout(t *testing.T) {
 	// A v1-magic frame is an old layout; it must be rejected, not misparsed.
 	old := make([]byte, CacheLineSize)
 	copy(old, buf)
-	binary.LittleEndian.PutUint16(old, MagicV1)
+	binary.LittleEndian.PutUint16(old, 0xDA66)
 	if _, err := ParseHeader(old); err != ErrBadMagic {
 		t.Errorf("v1 magic = %v, want ErrBadMagic", err)
 	}
@@ -274,25 +274,25 @@ func TestDisconnectRoundTrip(t *testing.T) {
 	}
 	// The same frame under the v1 magic must be rejected, not misparsed.
 	old := append([]byte(nil), buf...)
-	binary.LittleEndian.PutUint16(old, MagicV1)
+	binary.LittleEndian.PutUint16(old, 0xDA66)
 	if _, err := ParseHeader(old); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("v1 disconnect frame: %v, want ErrBadMagic", err)
 	}
 }
 
 // TestChecksumFieldLayout pins the header-checksum extension: the CRC lives
-// in reserved byte 37, frames with a zeroed checksum byte (encoded before
-// the field existed) still decode, corruption of any covered header bit is
-// rejected with ErrBadChecksum, and in-flight stamps never invalidate a
-// frame.
+// in reserved byte 37, a zeroed checksum byte is a mismatch like any other
+// (no stored value bypasses verification), corruption of any covered header
+// bit is rejected with ErrBadChecksum, and in-flight stamps never invalidate
+// a frame.
 func TestChecksumFieldLayout(t *testing.T) {
 	m := sampleMessage(8)
 	buf, err := MarshalAppend(nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf[37] == 0 {
-		t.Fatal("checksum byte 37 not populated")
+	if buf[37] != headerChecksum(buf) || buf[37] == 0 {
+		t.Fatalf("checksum byte 37 = %#x: not the header CRC, or a zero CRC that would make the zeroing case below vacuous", buf[37])
 	}
 	if !VerifyChecksum(buf) {
 		t.Fatal("fresh frame fails verification")
@@ -301,18 +301,18 @@ func TestChecksumFieldLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A pre-checksum frame (byte 37 zero) decodes unchecked.
-	legacy := append([]byte(nil), buf...)
-	legacy[37] = 0
-	if !VerifyChecksum(legacy) {
-		t.Fatal("legacy zero-checksum frame rejected")
+	// A checksum byte overwritten with 0x00 is corruption, not an opt-out:
+	// it used to skip verification in both entry points.
+	zeroed := append([]byte(nil), buf...)
+	zeroed[37] = 0
+	if VerifyChecksum(zeroed) {
+		t.Fatal("zeroed checksum byte passed VerifyChecksum")
 	}
-	lh, err := ParseHeader(legacy)
-	if err != nil {
-		t.Fatalf("legacy frame: %v", err)
+	if _, err := ParseHeader(zeroed); err != ErrBadChecksum {
+		t.Fatalf("zeroed checksum byte: ParseHeader = %v, want ErrBadChecksum", err)
 	}
-	if lh.ConnID != m.ConnID || lh.RPCID != m.RPCID {
-		t.Fatalf("legacy frame misdecoded: %+v", lh)
+	if _, _, err := Unmarshal(zeroed); err != ErrBadChecksum {
+		t.Fatalf("zeroed checksum byte: Unmarshal = %v, want ErrBadChecksum", err)
 	}
 
 	// Corrupting a covered field is caught.
