@@ -10,6 +10,7 @@ import (
 	"io"
 	"testing"
 
+	"dagger/internal/dataplane"
 	"dagger/internal/experiments"
 	"dagger/internal/fabric"
 	"dagger/internal/flight"
@@ -177,8 +178,8 @@ func BenchmarkFig15FlightCurve(b *testing.B) {
 
 // BenchmarkAblationLoadBalancers compares the NIC's steering schemes.
 func BenchmarkAblationLoadBalancers(b *testing.B) {
-	for _, kind := range []nicmodel.BalancerKind{
-		nicmodel.BalancerUniform, nicmodel.BalancerStatic, nicmodel.BalancerObjectLevel,
+	for _, kind := range []dataplane.Scheme{
+		dataplane.SteerUniform, dataplane.SteerStatic, dataplane.SteerKeyHash,
 	} {
 		kind := kind
 		b.Run(kind.String(), func(b *testing.B) {

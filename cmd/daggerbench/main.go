@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,7 +28,6 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write the unified per-experiment metrics report (JSON) to this path")
 	flag.Parse()
 
-	reg := experiments.Registry()
 	if *list || *run == "" {
 		fmt.Println("experiments:")
 		for _, id := range experiments.IDs() {
@@ -43,19 +43,9 @@ func main() {
 	if *run == "all" {
 		ids = experiments.IDs()
 	}
-	for _, id := range ids {
-		r, ok := reg[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "daggerbench: unknown experiment %q (use -list)\n", id)
-			os.Exit(1)
-		}
-		start := time.Now()
-		fmt.Printf("==== %s ====\n", id)
-		if err := r(os.Stdout, *quick); err != nil {
-			fmt.Fprintf(os.Stderr, "daggerbench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-		fmt.Printf("---- %s done in %v ----\n\n", id, time.Since(start).Round(time.Millisecond))
+	if err := runExperiments(os.Stdout, ids, *quick); err != nil {
+		fmt.Fprintf(os.Stderr, "daggerbench: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *metricsPath != "" {
@@ -66,6 +56,25 @@ func main() {
 		fmt.Printf("metrics report: %d experiment(s) -> %s\n",
 			experiments.Report().Len(), *metricsPath)
 	}
+}
+
+// runExperiments runs each experiment in ids through the registry, framing
+// its rows with a header and a timed footer.
+func runExperiments(w io.Writer, ids []string, quick bool) error {
+	reg := experiments.Registry()
+	for _, id := range ids {
+		r, ok := reg[id]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (use -list)", id)
+		}
+		start := time.Now()
+		fmt.Fprintf(w, "==== %s ====\n", id)
+		if err := r(w, quick); err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		fmt.Fprintf(w, "---- %s done in %v ----\n\n", id, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
 }
 
 // writeMetricsReport dumps the unified per-experiment telemetry collected by

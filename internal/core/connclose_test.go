@@ -45,6 +45,11 @@ func connPair(t *testing.T, connCache int) (*RpcClient, *fabric.SoftNIC, func())
 	}
 }
 
+// connGauge reads one conn.* sample from nic's metrics registry.
+func connGauge(nic *fabric.SoftNIC, name string) int64 {
+	return nic.Metrics().Snapshot().Value("conn." + name)
+}
+
 // TestClosePropagationEndToEnd covers the full close lifecycle: client
 // CloseConnection emits a wire control frame, the server NIC retires its
 // steering entry (OpenCount back to baseline), and a post-close call fails
@@ -61,17 +66,17 @@ func TestClosePropagationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cli.Release(resp)
-	if got := snic.ConnOpenCount(); got != 1 {
+	if got := connGauge(snic, "open"); got != 1 {
 		t.Fatalf("server open count after first call = %d, want 1", got)
 	}
-	serverOpens := snic.ConnStats().Opens
+	serverOpens := connGauge(snic, "opens")
 
 	if err := cli.CloseConnection(id); err != nil {
 		t.Fatal(err)
 	}
 	// The fabric delivers control frames synchronously: by the time
 	// CloseConnection returns, the server NIC has retired the entry.
-	if got := snic.ConnOpenCount(); got != 0 {
+	if got := connGauge(snic, "open"); got != 0 {
 		t.Fatalf("server open count after close = %d, want 0 (entry leaked)", got)
 	}
 	if _, err := cli.CallConn(id, 0, []byte("ping")); !errors.Is(err, ErrConnNotOpen) {
@@ -81,7 +86,7 @@ func TestClosePropagationEndToEnd(t *testing.T) {
 		t.Fatalf("double close: %v, want ErrConnNotOpen", err)
 	}
 	// The failed call never reached the wire: no fresh server-side entry.
-	if got := snic.ConnStats().Opens; got != serverOpens {
+	if got := connGauge(snic, "opens"); got != serverOpens {
 		t.Fatalf("post-close call re-opened server state (%d -> %d opens)", serverOpens, got)
 	}
 
@@ -97,13 +102,13 @@ func TestClosePropagationEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		cli.Release(resp)
-		if got := snic.ConnOpenCount(); got != 1 {
+		if got := connGauge(snic, "open"); got != 1 {
 			t.Fatalf("iteration %d: server open count = %d, want 1", i, got)
 		}
 		if err := cli.CloseConnection(id); err != nil {
 			t.Fatal(err)
 		}
-		if got := snic.ConnOpenCount(); got != 0 {
+		if got := connGauge(snic, "open"); got != 0 {
 			t.Fatalf("iteration %d: server open count after close = %d, want 0", i, got)
 		}
 	}
@@ -146,7 +151,7 @@ func TestConnMissEchoedToClient(t *testing.T) {
 	if got := cli.ConnMisses.Load(); got != 2 {
 		t.Fatalf("client conn misses = %d, want 2 (echoed FlagConnMiss)", got)
 	}
-	if got := snic.ConnStats().Misses; got != 2 {
+	if got := connGauge(snic, "misses"); got != 2 {
 		t.Fatalf("server NIC conn misses = %d, want 2", got)
 	}
 	// A conflict-free id stays hit-only.

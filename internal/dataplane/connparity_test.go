@@ -118,21 +118,21 @@ func TestConnCacheParity(t *testing.T) {
 		}
 
 		// Counter deltas must match step for step, not just in aggregate.
-		cur, cmCur := dst.ConnStats(), cm.Stats()
+		cur, cmCur := connStats(dst), cm.Stats()
 		if d, cd := delta(prev, cur), delta(cmPrev, cmCur); d != cd {
 			t.Fatalf("op %d (conn %d, close=%v): fabric delta %+v, nicmodel delta %+v",
 				i, op.connID, op.close, d, cd)
 		}
 		prev, cmPrev = cur, cmCur
 
-		if dst.ConnOpenCount() != cm.OpenCount() {
+		if open := dst.Metrics().Snapshot().Value("conn.open"); open != int64(cm.OpenCount()) {
 			t.Fatalf("op %d: open population diverged: fabric %d, nicmodel %d",
-				i, dst.ConnOpenCount(), cm.OpenCount())
+				i, open, cm.OpenCount())
 		}
 	}
 
 	// The trace must actually exercise every decision kind.
-	final := dst.ConnStats()
+	final := connStats(dst)
 	if final.Hits == 0 || final.Misses == 0 || final.Evictions == 0 || final.Closes == 0 {
 		t.Fatalf("trace did not exercise the full policy: %+v", final)
 	}
@@ -166,6 +166,18 @@ func recvConnFrame(t *testing.T, dst *fabric.SoftNIC) (uint16, bool) {
 		t.Fatal("frame not delivered to any flow")
 	}
 	return uint16(picked), miss
+}
+
+// connStats reads the conn.* counters back out of nic's metrics registry.
+func connStats(nic *fabric.SoftNIC) connstate.Stats {
+	s := nic.Metrics().Snapshot()
+	return connstate.Stats{
+		Hits:      uint64(s.Value("conn.hits")),
+		Misses:    uint64(s.Value("conn.misses")),
+		Evictions: uint64(s.Value("conn.evictions")),
+		Opens:     uint64(s.Value("conn.opens")),
+		Closes:    uint64(s.Value("conn.closes")),
+	}
 }
 
 func delta(a, b connstate.Stats) connstate.Stats {

@@ -1,6 +1,6 @@
 // Package dataplane is the single source of truth for Dagger's NIC
 // dataplane policy: flow steering/load balancing, deadline-budget shed
-// decisions, and ring/queue backpressure. The paper's central claim is
+// decisions, and ring/queue admission. The paper's central claim is
 // hardware/software co-design — the same dispatch policies govern both the
 // real RPC stack and the modelled hardware (§4.2, Fig. 7) — so both of this
 // repo's substrates consume this package rather than keeping hand-mirrored
@@ -8,8 +8,8 @@
 //
 //   - the functional goroutine stack: fabric.SoftNIC steering and the core
 //     server's shed-before-dispatch path;
-//   - the discrete-event timing stack: nicmodel.Balancer, the nicmodel RX/TX
-//     queue admission checks, and microsim's budget-carrying requests.
+//   - the discrete-event timing stack: nicmodel.Balancer, the nicmodel RX
+//     queue admission check, and microsim's budget-carrying requests.
 //
 // Every decision here is a pure function over plain inputs (flow count,
 // steering key, round-robin counter, remaining budget, queue depth). The
@@ -161,46 +161,13 @@ func ElapsedMicros(elapsedNanos int64) uint64 {
 	return uint64(elapsedNanos) / 1000
 }
 
-// Overflow is the policy applied when a bounded queue is full.
-type Overflow int
-
-const (
-	// OverflowDrop discards the newest item (lossy, best-effort delivery;
-	// the sender sees a drop counter or ErrRingFull, never blocks).
-	OverflowDrop Overflow = iota
-	// OverflowBackpressure refuses the item and stalls the producer until
-	// space frees up.
-	OverflowBackpressure
-)
-
-func (o Overflow) String() string {
-	if o == OverflowBackpressure {
-		return "backpressure"
-	}
-	return "drop"
-}
-
-// RxRingOverflow is the policy at a full RX ring or flow FIFO: drop the
-// newest frame. RX rings are lossy by design — the transport layer above
-// recovers, and dropping beats head-of-line blocking the NIC pipeline.
-// fabric counts these in SoftNIC.Drops (surfacing ErrRingFull to local
-// senders); nicmodel counts them in PacketMonitor.RxDrops.
-const RxRingOverflow = OverflowDrop
-
-// TxTableOverflow is the policy at a full TX request table: backpressure
-// the producer (the hardware asserts back-pressure on the RPC unit; the
-// model returns a stall and retries next cycle).
-const TxTableOverflow = OverflowBackpressure
-
-// DropRefused reports how a queue governed by policy o treats a refused
-// item: true means discard it (and count the drop), false means leave it
-// with the producer, which stalls and retries.
-func DropRefused(o Overflow) bool { return o == OverflowDrop }
-
-// Admit is the backpressure admission decision for a bounded queue:
-// an item is admitted while depth < capacity. capacity <= 0 means the
-// queue is unbounded. What happens to a refused item is the queue's
-// Overflow policy (RxRingOverflow, TxTableOverflow).
+// Admit is the admission decision for a bounded queue: an item is admitted
+// while depth < capacity. capacity <= 0 means the queue is unbounded. A
+// refused item is dropped, never left with its producer: RX rings are lossy
+// by design — the transport layer above recovers, and dropping beats
+// head-of-line blocking the NIC pipeline. The fabric counts these drops in
+// SoftNIC.Drops (surfacing ErrRingFull to local senders); the nicmodel RX
+// path counts them in RxPath.Dropped.
 func Admit(depth, capacity int) bool {
 	return capacity <= 0 || depth < capacity
 }

@@ -162,25 +162,6 @@ func TestAdmit(t *testing.T) {
 	}
 }
 
-func TestOverflowPolicies(t *testing.T) {
-	// The split is load-bearing: RX rings shed load (lossy transport),
-	// the TX request table stalls the producer. If either constant
-	// changes, every queue admission site in both substrates changes
-	// behaviour.
-	if RxRingOverflow != OverflowDrop {
-		t.Error("RX ring overflow must drop (best-effort delivery)")
-	}
-	if TxTableOverflow != OverflowBackpressure {
-		t.Error("TX table overflow must backpressure the producer")
-	}
-	if got := OverflowDrop.String(); got != "drop" {
-		t.Errorf("OverflowDrop.String() = %q", got)
-	}
-	if got := OverflowBackpressure.String(); got != "backpressure" {
-		t.Errorf("OverflowBackpressure.String() = %q", got)
-	}
-}
-
 // TestDecisionFunctionsZeroAlloc pins the allocation-free contract: these
 // run per packet on both substrates' hot paths.
 func TestDecisionFunctionsZeroAlloc(t *testing.T) {

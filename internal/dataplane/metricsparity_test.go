@@ -16,7 +16,6 @@ import (
 	"dagger/internal/core"
 	"dagger/internal/dataplane"
 	"dagger/internal/fabric"
-	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/nicmodel"
 	"dagger/internal/sim"
@@ -41,10 +40,7 @@ func TestMetricsSnapshotParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
-	nic, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: parityFlows, ConnCacheSize: cacheSize,
-		Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 1},
-	})
+	nic, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: cacheSize})
 	if err != nil {
 		t.Fatal(err)
 	}

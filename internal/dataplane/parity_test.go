@@ -12,7 +12,6 @@ import (
 	"dagger/internal/core"
 	"dagger/internal/dataplane"
 	"dagger/internal/fabric"
-	"dagger/internal/interconnect"
 	"dagger/internal/nicmodel"
 	"dagger/internal/sim"
 	"dagger/internal/wire"
@@ -89,7 +88,7 @@ func parityNICs(t *testing.T, balancer fabric.Balancer, ex fabric.KeyExtractor) 
 
 func TestSteeringParityUniform(t *testing.T) {
 	src, dst := parityNICs(t, fabric.BalanceUniform, nil)
-	bal := nicmodel.NewBalancer(nicmodel.BalancerUniform, parityFlows)
+	bal := nicmodel.NewBalancer(dataplane.SteerUniform, parityFlows)
 	for i, req := range paritySequence(42) {
 		m := &wire.Message{Header: wire.Header{
 			Kind: wire.KindRequest, ConnID: req.connID,
@@ -106,7 +105,7 @@ func TestSteeringParityUniform(t *testing.T) {
 func TestSteeringParityKeyHash(t *testing.T) {
 	extractor := func(payload []byte) []byte { return payload }
 	src, dst := parityNICs(t, fabric.BalanceObjectLevel, extractor)
-	bal := nicmodel.NewBalancer(nicmodel.BalancerObjectLevel, parityFlows)
+	bal := nicmodel.NewBalancer(dataplane.SteerKeyHash, parityFlows)
 	for i, req := range paritySequence(43) {
 		m := &wire.Message{Header: wire.Header{
 			Kind: wire.KindRequest, ConnID: req.connID,
@@ -122,7 +121,7 @@ func TestSteeringParityKeyHash(t *testing.T) {
 
 func TestSteeringParityStatic(t *testing.T) {
 	src, dst := parityNICs(t, fabric.BalanceStatic, nil)
-	bal := nicmodel.NewBalancer(nicmodel.BalancerStatic, parityFlows)
+	bal := nicmodel.NewBalancer(dataplane.SteerStatic, parityFlows)
 	// The timing model's connection manager assigns a flow at Open time; the
 	// fabric assigns round-robin on first contact. Mirror the fabric's
 	// first-contact rule with the same dataplane primitive, then let both
@@ -233,7 +232,7 @@ func TestMarkParity(t *testing.T) {
 	if marks == 0 {
 		t.Fatal("no depth marked; sequence does not exercise the policy")
 	}
-	if got := fl.Marked(); got != uint64(marks) {
+	if got := dst.Metrics().Snapshot().Value("mark.rx.stamped"); got != int64(marks) {
 		t.Fatalf("fabric flow marked %d frames, want %d", got, marks)
 	}
 	if got := rx.Marked.Load(); got != uint64(marks) {
@@ -275,10 +274,7 @@ func TestShedParity(t *testing.T) {
 	// Timing verdicts: the same delays elapse in virtual time between arrival
 	// and the NIC's shed check.
 	eng := sim.NewEngine()
-	nic, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: 1, ConnCacheSize: 16,
-		Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 1},
-	})
+	nic, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,15 +79,11 @@ func RunConnScalePoint(cfg ConnScaleConfig) *ConnScaleResult {
 		cfg.Requests = 50_000
 	}
 	eng := sim.NewEngine()
-	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: 1, ConnCacheSize: cfg.CacheSize, Iface: cfg.Iface,
-	})
+	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: cfg.CacheSize})
 	if err != nil {
 		panic(err)
 	}
-	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: 1, ConnCacheSize: cfg.CacheSize, Iface: cfg.Iface,
-	})
+	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: cfg.CacheSize})
 	if err != nil {
 		panic(err)
 	}

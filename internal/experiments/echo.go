@@ -136,15 +136,11 @@ func RunEcho(cfg EchoConfig) *EchoResult {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 
 	// Two NIC instances in loopback, as in §5.1.
-	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: cfg.Threads, ConnCacheSize: 1024, Iface: iface,
-	})
+	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 1024})
 	if err != nil {
 		panic(err)
 	}
-	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: cfg.Threads, ConnCacheSize: 1024, Iface: iface,
-	})
+	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 1024})
 	if err != nil {
 		panic(err)
 	}
@@ -249,9 +245,7 @@ func RunEcho(cfg EchoConfig) *EchoResult {
 			hccPenalty := serverNIC.HCC.Access(uint64(th) * 64)
 			eng.After(iface.RxDeliver()+cmPenalty+hccPenalty, func() {
 				if cfg.BestEffort && !dataplane.Admit(serverCore.QueueLen(), bestEffortQueueCap) {
-					if dataplane.DropRefused(dataplane.RxRingOverflow) {
-						res.Dropped++
-					}
+					res.Dropped++
 					return
 				}
 				serverCore.Acquire(func() {

@@ -84,15 +84,11 @@ func RunOverloadPoint(cfg OverloadConfig) *OverloadResult {
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	arrivals := workload.NewPoissonArrival(rng, cfg.OfferedRPS)
 
-	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: 1, ConnCacheSize: 1024, Iface: cfg.Iface,
-	})
+	clientNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 1024})
 	if err != nil {
 		panic(err)
 	}
-	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-		NFlows: 1, ConnCacheSize: 1024, Iface: cfg.Iface,
-	})
+	serverNIC, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 1024})
 	if err != nil {
 		panic(err)
 	}

@@ -55,7 +55,6 @@ func RunVirt(cfg VirtConfig) *VirtResult {
 	}
 	eng := sim.NewEngine()
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	iface := interconnect.Config{Kind: interconnect.UPI, Batch: 4}
 
 	// One physical FPGA: a shared arbiter in front of the UPI endpoint
 	// (12 ns per line grant, the §5.5 endpoint bottleneck) and one NIC
@@ -63,9 +62,7 @@ func RunVirt(cfg VirtConfig) *VirtResult {
 	arb := netmodel.NewArbiter(eng, cfg.Tenants, interconnect.EndpointRPCService)
 	nics := make([]*nicmodel.NIC, cfg.Tenants)
 	for i := range nics {
-		n, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{
-			NFlows: 1, ConnCacheSize: 256, Iface: iface,
-		})
+		n, err := nicmodel.NewNIC(eng, nicmodel.HardConfig{ConnCacheSize: 256})
 		if err != nil {
 			panic(err)
 		}

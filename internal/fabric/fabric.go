@@ -112,10 +112,8 @@ const (
 	fabricPoolSlots = 256
 )
 
-// PoolConfig sizes the fabric's buffer pools. The defaults suit the mixed
-// small-RPC workloads of the paper's evaluation; workloads with a very
-// different payload mix (e.g. all frames just over a class boundary) can
-// supply their own class ladder and slot counts.
+// PoolConfig describes how the fabric sizes its buffer pools, a ladder
+// suited to the mixed small-RPC workloads of the paper's evaluation.
 type PoolConfig struct {
 	// Classes is the ascending ladder of buffer size classes. The last
 	// class must be at least wire.MaxFrameSize so any legal frame fits a
@@ -137,33 +135,13 @@ func DefaultPoolConfig() PoolConfig {
 	}
 }
 
-func (c PoolConfig) validate() error {
-	if len(c.Classes) == 0 {
-		return fmt.Errorf("fabric: PoolConfig needs at least one size class")
-	}
-	prev := 0
-	for _, sz := range c.Classes {
-		if sz <= prev {
-			return fmt.Errorf("fabric: PoolConfig classes must be positive and strictly ascending, got %v", c.Classes)
-		}
-		prev = sz
-	}
-	if last := c.Classes[len(c.Classes)-1]; last < wire.MaxFrameSize {
-		return fmt.Errorf("fabric: largest PoolConfig class %d is below wire.MaxFrameSize %d", last, wire.MaxFrameSize)
-	}
-	if c.FlowSlots <= 0 || c.FabricSlots <= 0 {
-		return fmt.Errorf("fabric: PoolConfig slot counts must be positive")
-	}
-	return nil
-}
-
-func newFlow(depth int, parent *ringbuf.BufPool, cfg PoolConfig) *Flow {
+func newFlow(depth int, parent *ringbuf.BufPool) *Flow {
 	return &Flow{
 		req:     ringbuf.New[[]byte](depth),
 		resp:    ringbuf.New[[]byte](depth),
 		reqWake: make(chan struct{}, 1),
 		rspWake: make(chan struct{}, 1),
-		pool:    ringbuf.NewBufPool(cfg.FlowSlots, parent, cfg.Classes...),
+		pool:    ringbuf.NewBufPool(flowPoolSlots, parent, bufClasses...),
 	}
 }
 
@@ -187,11 +165,8 @@ func (f *Flow) deliver(frame []byte, isResponse bool) bool {
 		f.marked.Add(1)
 	}
 	if !ring.Push(frame) {
-		// Full RX ring: the dataplane RX overflow policy (RxRingOverflow)
-		// is drop-newest, never blocking the fabric.
-		if dataplane.DropRefused(dataplane.RxRingOverflow) {
-			f.dropped.Add(1)
-		}
+		// Full RX ring: drop the newest frame, never blocking the fabric.
+		f.dropped.Add(1)
 		return false
 	}
 	select {
@@ -238,14 +213,6 @@ func (f *Flow) TryRecv() ([]byte, bool) {
 	return f.resp.Pop()
 }
 
-// Dropped returns the number of frames dropped at this flow's rings.
-func (f *Flow) Dropped() uint64 { return f.dropped.Load() }
-
-// Marked returns the number of frames congestion-marked at this flow's
-// rings (frames admitted while occupancy was at or past the dataplane mark
-// threshold).
-func (f *Flow) Marked() uint64 { return f.marked.Load() }
-
 // DefaultConnCacheSize is the per-NIC connection cache capacity if not
 // overridden by CreateNICConns: the near-memory working set the NIC steers
 // from without paying the host-lookup penalty (§4.2).
@@ -268,10 +235,6 @@ type SoftNIC struct {
 	// the geometry and accounting owned by internal/connstate (shared with
 	// the timing stack's nicmodel so the substrates cannot drift).
 	conns *connstate.Cache[uint16]
-	// connMissHook, when set, is invoked once per connection-cache miss
-	// (outside the NIC lock): the functional stack's stand-in for the timing
-	// stack's HostLookupPenalty.
-	connMissHook func()
 
 	// Chaos plane: the shared fault stage (faults.Stage) at queue admission,
 	// idle until SetFaultInjector; it owns the fault.* counters. faultMu
@@ -341,11 +304,19 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("drop.ring", &n.Drops)
 	n.faults.Describe(reg, "fault.")
 	n.frameBytes = reg.Histogram("frame.bytes")
-	reg.Func("mark.rx.stamped", func() int64 { return int64(n.Marks()) })
+	// The per-flow ring counters aggregate into NIC-wide gauges, the shape
+	// the timing stack's RxPath publishes them in.
+	reg.Func("mark.rx.stamped", func() int64 {
+		var total uint64
+		for _, fl := range n.flows {
+			total += fl.marked.Load()
+		}
+		return int64(total)
+	})
 	reg.Func("drop.rx.ring", func() int64 {
 		var total uint64
 		for _, fl := range n.flows {
-			total += fl.Dropped()
+			total += fl.dropped.Load()
 		}
 		return int64(total)
 	})
@@ -358,15 +329,6 @@ func (n *SoftNIC) describeMetrics(reg *metrics.Registry) {
 
 // Addr returns the NIC's fabric address.
 func (n *SoftNIC) Addr() uint32 { return n.addr }
-
-// Marks returns the total congestion marks stamped at this NIC's flow rings.
-func (n *SoftNIC) Marks() uint64 {
-	var total uint64
-	for _, fl := range n.flows {
-		total += fl.Marked()
-	}
-	return total
-}
 
 // NumFlows returns the flow count (hard configuration).
 func (n *SoftNIC) NumFlows() int { return len(n.flows) }
@@ -395,32 +357,6 @@ func (n *SoftNIC) SetBalancer(b Balancer, ex KeyExtractor) error {
 	n.extractor = ex
 	n.conns.Reset()
 	return nil
-}
-
-// SetConnMissHook installs fn to be called once per connection-cache miss,
-// outside the NIC lock. The functional stack has no virtual clock, so this
-// is how an experiment charges the §4.2 host-lookup penalty (or just counts
-// misses); nil uninstalls.
-func (n *SoftNIC) SetConnMissHook(fn func()) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.connMissHook = fn
-}
-
-// ConnStats returns the connection cache's monitor counters.
-func (n *SoftNIC) ConnStats() connstate.Stats {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.conns.Stats()
-}
-
-// ConnOpenCount returns the number of connections the NIC currently holds
-// state for (cached or in the backing store). Close propagation keeps this
-// bounded under connection churn.
-func (n *SoftNIC) ConnOpenCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.conns.OpenCount()
 }
 
 // retireConn removes a connection's steering state in response to a
@@ -521,7 +457,7 @@ func (n *SoftNIC) accept(fl *Flow, frame []byte, isResponse, connMiss bool) erro
 // the connection lookup missed the near-memory cache. The decision itself
 // is dataplane.Steer over connstate.Cache verdicts — this method only
 // supplies the NIC's state (rr counter, connection cache, extractor) as
-// plain inputs, and runs the miss hook outside the lock.
+// plain inputs.
 func (n *SoftNIC) pickFlow(m *wire.Message) (flow uint16, miss bool) {
 	n.mu.RLock()
 	balancer, extractor := n.balancer, n.extractor
@@ -541,11 +477,7 @@ func (n *SoftNIC) pickFlow(m *wire.Message) (flow uint16, miss bool) {
 		key := connstate.Key(m.SrcAddr, m.ConnID)
 		n.mu.Lock()
 		if f, hit, err := n.conns.Lookup(key); err == nil {
-			hook := n.connMissHook
 			n.mu.Unlock()
-			if !hit && hook != nil {
-				hook()
-			}
 			return dataplane.Steer(balancer, dataplane.SteerInput{
 				NFlows:   len(n.flows),
 				ConnFlow: f,
@@ -628,38 +560,19 @@ type Gateway func(dstAddr uint32, frame []byte) error
 
 // Fabric connects SoftNICs by address.
 type Fabric struct {
-	mu      sync.RWMutex
-	nics    map[uint32]*SoftNIC
-	gw      Gateway
-	pool    *ringbuf.BufPool
-	poolCfg PoolConfig
+	mu   sync.RWMutex
+	nics map[uint32]*SoftNIC
+	gw   Gateway
+	pool *ringbuf.BufPool
 }
 
 // NewFabric creates an empty fabric with DefaultPoolConfig buffer pools.
 func NewFabric() *Fabric {
-	f, err := NewFabricPools(DefaultPoolConfig())
-	if err != nil {
-		// DefaultPoolConfig always validates; a failure here is a bug.
-		panic(err)
-	}
-	return f
-}
-
-// NewFabricPools creates an empty fabric whose buffer pools (the shared
-// parent and every per-flow pool of NICs created on it) are sized by cfg.
-func NewFabricPools(cfg PoolConfig) (*Fabric, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	return &Fabric{
-		nics:    make(map[uint32]*SoftNIC),
-		pool:    ringbuf.NewBufPool(cfg.FabricSlots, nil, cfg.Classes...),
-		poolCfg: cfg,
-	}, nil
+		nics: make(map[uint32]*SoftNIC),
+		pool: ringbuf.NewBufPool(fabricPoolSlots, nil, bufClasses...),
+	}
 }
-
-// PoolConfig returns the pool sizing this fabric was created with.
-func (f *Fabric) PoolConfig() PoolConfig { return f.poolCfg }
 
 // Buffers returns the fabric-wide buffer pool, the parent that per-flow
 // pools spill into. Gateways draw frames destined for Inject from here.
@@ -726,8 +639,7 @@ func (f *Fabric) CreateNIC(addr uint32, nflows, ringDepth int) (*SoftNIC, error)
 // (§4.2 hard configuration; 0 uses DefaultConnCacheSize, rounded up to a
 // power of two). Connections beyond the cache's conflict-free working set
 // still steer correctly — they fall back to the backing store — but each
-// such lookup counts a miss and pays the (hook-injected) host-lookup
-// penalty.
+// such lookup counts a miss and stamps the frame with wire.FlagConnMiss.
 func (f *Fabric) CreateNICConns(addr uint32, nflows, ringDepth, connCache int) (*SoftNIC, error) {
 	if nflows <= 0 {
 		return nil, fmt.Errorf("fabric: need at least one flow")
@@ -743,9 +655,9 @@ func (f *Fabric) CreateNICConns(addr uint32, nflows, ringDepth, connCache int) (
 		fab:   f,
 		conns: connstate.New[uint16](connCache),
 	}
-	n.faults = faults.NewStage[admission](ringSink{}, dataplane.RxRingOverflow)
+	n.faults = faults.NewStage[admission](ringSink{})
 	for i := 0; i < nflows; i++ {
-		n.flows = append(n.flows, newFlow(ringDepth, f.pool, f.poolCfg))
+		n.flows = append(n.flows, newFlow(ringDepth, f.pool))
 	}
 	n.reg = metrics.New()
 	n.describeMetrics(n.reg)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dagger/internal/connstate"
 	"dagger/internal/wire"
 )
 
@@ -240,8 +241,7 @@ func TestFabricRingFullDrops(t *testing.T) {
 	if lastErr != ErrRingFull {
 		t.Fatalf("err = %v, want ErrRingFull", lastErr)
 	}
-	fl, _ := b.Flow(0)
-	if fl.Dropped() == 0 || a.Drops.Load() == 0 {
+	if sample(b, "drop.rx.ring") == 0 || a.Drops.Load() == 0 {
 		t.Fatal("drop counters not updated")
 	}
 }
@@ -281,11 +281,8 @@ func TestFabricCongestionMarking(t *testing.T) {
 			t.Fatalf("clean frame %d carries hint %d", i, h.Occupancy)
 		}
 	}
-	if got := fl.Marked(); got != depth/2 {
-		t.Fatalf("flow marked %d frames, want %d", got, depth/2)
-	}
-	if got := b.Marks(); got != depth/2 {
-		t.Fatalf("NIC marks %d, want %d", got, depth/2)
+	if got := sample(b, "mark.rx.stamped"); got != depth/2 {
+		t.Fatalf("NIC marked %d frames, want %d", got, depth/2)
 	}
 }
 
@@ -469,9 +466,8 @@ func TestInjectFullRingCountsDrops(t *testing.T) {
 	if b.Drops.Load() != 3 {
 		t.Fatalf("destination Drops = %d, want 3", b.Drops.Load())
 	}
-	fl, _ := b.Flow(0)
-	if fl.Dropped() != 3 {
-		t.Fatalf("flow dropped = %d, want 3", fl.Dropped())
+	if got := sample(b, "drop.rx.ring"); got != 3 {
+		t.Fatalf("ring drops = %d, want 3", got)
 	}
 }
 
@@ -496,75 +492,18 @@ func TestFlowIndexBounds(t *testing.T) {
 	Yield() // exercise the scheduler hint helper
 }
 
-func TestPoolConfigCustomClassBoundary(t *testing.T) {
-	// A two-line frame (128 B) straddles the default ladder's 64/256
-	// boundary and would be served from the 256 B class; a custom ladder
-	// with a 128 B class serves it exactly.
-	cfg := PoolConfig{
-		Classes:     []int{128, 512, wire.MaxFrameSize},
-		FlowSlots:   8,
-		FabricSlots: 16,
-	}
-	f, err := NewFabricPools(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.PoolConfig(); len(got.Classes) != 3 || got.Classes[0] != 128 ||
-		got.FlowSlots != 8 || got.FabricSlots != 16 {
-		t.Fatalf("PoolConfig() = %+v, want the custom config back", got)
-	}
-	a, err := f.CreateNIC(1, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.CreateNIC(2, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, wire.FirstLinePayload+1) // first payload size needing two lines
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	m := &wire.Message{
-		Header:  wire.Header{Kind: wire.KindRequest, ConnID: 1, SrcAddr: 1, DstAddr: 2},
-		Payload: payload,
-	}
-	if m.WireSize() != 128 {
-		t.Fatalf("test premise: WireSize = %d, want 128", m.WireSize())
-	}
-	if err := a.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	fl, _ := b.Flow(0)
-	frame, ok := fl.TryRecv()
-	if !ok {
-		t.Fatal("frame not delivered")
-	}
-	if cap(frame) != 128 {
-		t.Fatalf("frame served from a %d B buffer, want the exact 128 B class", cap(frame))
-	}
-	got, _, err := wire.Unmarshal(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Payload) != string(payload) {
-		t.Fatal("payload did not round-trip through the custom pool")
-	}
-	fl.Buffers().Put(frame)
-}
+// sample reads one sample from nic's metrics registry.
+func sample(nic *SoftNIC, name string) int64 { return nic.Metrics().Snapshot().Value(name) }
 
-func TestPoolConfigRejectsBadLadders(t *testing.T) {
-	cases := []PoolConfig{
-		{Classes: nil, FlowSlots: 8, FabricSlots: 16},
-		{Classes: []int{256, 128, wire.MaxFrameSize}, FlowSlots: 8, FabricSlots: 16},
-		{Classes: []int{64, 256}, FlowSlots: 8, FabricSlots: 16}, // below MaxFrameSize
-		{Classes: []int{64, wire.MaxFrameSize}, FlowSlots: 0, FabricSlots: 16},
-		{Classes: []int{64, wire.MaxFrameSize}, FlowSlots: 8, FabricSlots: 0},
-	}
-	for i, cfg := range cases {
-		if _, err := NewFabricPools(cfg); err == nil {
-			t.Errorf("case %d: NewFabricPools accepted invalid config %+v", i, cfg)
-		}
+// connStats reads the conn.* counters back out of nic's metrics registry.
+func connStats(nic *SoftNIC) connstate.Stats {
+	s := nic.Metrics().Snapshot()
+	return connstate.Stats{
+		Hits:      uint64(s.Value("conn.hits")),
+		Misses:    uint64(s.Value("conn.misses")),
+		Evictions: uint64(s.Value("conn.evictions")),
+		Opens:     uint64(s.Value("conn.opens")),
+		Closes:    uint64(s.Value("conn.closes")),
 	}
 }
 
@@ -594,25 +533,25 @@ func TestSetBalancerClearsConnTable(t *testing.T) {
 	if err := a.Send(req(1, 2, 5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if b.ConnOpenCount() != 1 {
-		t.Fatalf("open count = %d, want 1", b.ConnOpenCount())
+	if sample(b, "conn.open") != 1 {
+		t.Fatalf("open count = %d, want 1", sample(b, "conn.open"))
 	}
 	if err := b.SetBalancer(BalanceUniform, nil); err != nil {
 		t.Fatal(err)
 	}
-	if b.ConnOpenCount() != 0 {
-		t.Fatalf("open count after reconfiguration = %d, want 0 (stale table)", b.ConnOpenCount())
+	if sample(b, "conn.open") != 0 {
+		t.Fatalf("open count after reconfiguration = %d, want 0 (stale table)", sample(b, "conn.open"))
 	}
 	if err := b.SetBalancer(BalanceStatic, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The same connection id must be treated as first contact: a fresh open,
 	// not a hit on a stale entry.
-	before := b.ConnStats()
+	before := connStats(b)
 	if err := a.Send(req(1, 2, 5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	after := b.ConnStats()
+	after := connStats(b)
 	if after.Opens != before.Opens+1 || after.Hits != before.Hits {
 		t.Fatalf("reconfigured NIC reused stale entry: before=%+v after=%+v", before, after)
 	}
@@ -641,7 +580,7 @@ func TestFabricConnCacheThrash(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := b.ConnStats(); st.Opens != 2 || st.Evictions != 1 || st.Misses != 0 {
+	if st := connStats(b); st.Opens != 2 || st.Evictions != 1 || st.Misses != 0 {
 		t.Fatalf("stats after opens = %+v", st)
 	}
 	drain(b)
@@ -653,7 +592,7 @@ func TestFabricConnCacheThrash(t *testing.T) {
 			}
 		}
 	}
-	st := b.ConnStats()
+	st := connStats(b)
 	if st.Hits != 0 || st.Misses != 6 || st.Evictions != 7 {
 		t.Fatalf("stats = %+v, want 0 hits / 6 misses / 7 evictions", st)
 	}
@@ -683,41 +622,8 @@ func TestFabricConnCacheThrash(t *testing.T) {
 	if err := a.Send(req(1, 2, 5, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if st := b.ConnStats(); st.Hits != 1 || st.Evictions != 7 {
+	if st := connStats(b); st.Hits != 1 || st.Evictions != 7 {
 		t.Fatalf("stats after hit = %+v", st)
-	}
-	drain(b)
-}
-
-// TestConnMissHook verifies the optional per-miss latency hook fires once
-// per backing-store lookup — the functional stack's stand-in for the timing
-// stack's HostLookupPenalty.
-func TestConnMissHook(t *testing.T) {
-	f := NewFabric()
-	a, err := f.CreateNIC(1, 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := f.CreateNICConns(2, 2, 64, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hookCalls int
-	b.SetConnMissHook(func() { hookCalls++ })
-	for _, conn := range []uint32{1, 5, 1, 5, 5} { // open, open, miss, miss, hit
-		if err := a.Send(req(1, 2, conn, 0, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if hookCalls != 2 {
-		t.Fatalf("miss hook ran %d times, want 2", hookCalls)
-	}
-	b.SetConnMissHook(nil)
-	if err := a.Send(req(1, 2, 1, 0, "x")); err != nil { // miss, hook uninstalled
-		t.Fatal(err)
-	}
-	if hookCalls != 2 {
-		t.Fatalf("uninstalled hook still ran (%d calls)", hookCalls)
 	}
 	drain(b)
 }
@@ -731,8 +637,8 @@ func TestDisconnectRetiresEntry(t *testing.T) {
 	if err := a.Send(req(1, 2, 9, 0, "x")); err != nil {
 		t.Fatal(err)
 	}
-	if b.ConnOpenCount() != 1 {
-		t.Fatalf("open count = %d, want 1", b.ConnOpenCount())
+	if sample(b, "conn.open") != 1 {
+		t.Fatalf("open count = %d, want 1", sample(b, "conn.open"))
 	}
 	drain(b)
 	disc := &wire.Message{Header: wire.Header{
@@ -741,8 +647,8 @@ func TestDisconnectRetiresEntry(t *testing.T) {
 	if err := a.Send(disc); err != nil {
 		t.Fatal(err)
 	}
-	if b.ConnOpenCount() != 0 {
-		t.Fatalf("open count after disconnect = %d, want 0", b.ConnOpenCount())
+	if sample(b, "conn.open") != 0 {
+		t.Fatalf("open count after disconnect = %d, want 0", sample(b, "conn.open"))
 	}
 	if got := drain(b); got != 0 {
 		t.Fatalf("disconnect control frame delivered to a ring (%d frames)", got)
@@ -763,7 +669,7 @@ func TestDisconnectRetiresEntry(t *testing.T) {
 		}}); err != nil {
 			t.Fatal(err)
 		}
-		if got := b.ConnOpenCount(); got != 0 {
+		if got := sample(b, "conn.open"); got != 0 {
 			t.Fatalf("iteration %d: open count = %d, want 0", i, got)
 		}
 	}

@@ -5,8 +5,8 @@ import (
 )
 
 // TestNICMetricsMatchGetters drives traffic through a NIC pair and checks
-// every pre-existing getter against its registry-backed sample: the getters
-// are now thin adapters, and this pins that the adaptation is lossless.
+// every registry-backed sample against the monitor counters and the
+// connection cache's exact tallies.
 func TestNICMetricsMatchGetters(t *testing.T) {
 	_, a, b := twoNICs(t)
 	for i := 0; i < 40; i++ {
@@ -17,24 +17,28 @@ func TestNICMetricsMatchGetters(t *testing.T) {
 	}
 	for _, nic := range []*SoftNIC{a, b} {
 		s := nic.Metrics().Snapshot()
-		st := nic.ConnStats()
+		var opens, hits int64
+		if nic == b {
+			// b steered all 40 requests: four first-contact opens, then hits.
+			opens, hits = 4, 36
+		}
 		checks := map[string]int64{
 			"rpc.in":          int64(nic.RPCsIn.Load()),
 			"rpc.out":         int64(nic.RPCsOut.Load()),
 			"bytes.in":        int64(nic.BytesIn.Load()),
 			"bytes.out":       int64(nic.BytesOut.Load()),
 			"drop.ring":       int64(nic.Drops.Load()),
-			"mark.rx.stamped": int64(nic.Marks()),
-			"conn.hits":       int64(st.Hits),
-			"conn.misses":     int64(st.Misses),
-			"conn.evictions":  int64(st.Evictions),
-			"conn.opens":      int64(st.Opens),
-			"conn.closes":     int64(st.Closes),
-			"conn.open":       int64(nic.ConnOpenCount()),
+			"mark.rx.stamped": 0,
+			"conn.hits":       hits,
+			"conn.misses":     0,
+			"conn.evictions":  0,
+			"conn.opens":      opens,
+			"conn.closes":     0,
+			"conn.open":       opens,
 		}
 		for name, want := range checks {
 			if got := s.Value(name); got != want {
-				t.Errorf("nic %d: %s = %d, want %d (getter)", nic.Addr(), name, got, want)
+				t.Errorf("nic %d: %s = %d, want %d", nic.Addr(), name, got, want)
 			}
 		}
 		if _, ok := s.Get("frame.bytes"); !ok {
@@ -50,8 +54,9 @@ func TestNICMetricsMatchGetters(t *testing.T) {
 	}
 }
 
-// TestFlowMarkDropMetrics fills a depth-4 ring without consuming: the
-// registry's mark and drop gauges must equal the per-flow getters.
+// TestFlowMarkDropMetrics fills a depth-4 ring without consuming: two frames
+// are admitted clean and the other six marked, since Flow.deliver stamps a
+// frame before pushing it; four of those six find the ring full and drop.
 func TestFlowMarkDropMetrics(t *testing.T) {
 	f := NewFabric()
 	a, err := f.CreateNIC(1, 1, 64)
@@ -67,13 +72,12 @@ func TestFlowMarkDropMetrics(t *testing.T) {
 		m.RPCID = uint64(i + 1)
 		_ = a.Send(m) // overflow drops are expected
 	}
-	fl, _ := b.Flow(0)
 	s := b.Metrics().Snapshot()
-	if got := s.Value("mark.rx.stamped"); got != int64(fl.Marked()) || got == 0 {
-		t.Fatalf("mark.rx.stamped = %d, flow getter %d", got, fl.Marked())
+	if got := s.Value("mark.rx.stamped"); got != 6 {
+		t.Fatalf("mark.rx.stamped = %d, want 6", got)
 	}
-	if got := s.Value("drop.rx.ring"); got != int64(fl.Dropped()) || got == 0 {
-		t.Fatalf("drop.rx.ring = %d, flow getter %d", got, fl.Dropped())
+	if got := s.Value("drop.rx.ring"); got != 4 {
+		t.Fatalf("drop.rx.ring = %d, want 4", got)
 	}
 	if got := s.Value("drop.ring"); got != int64(b.Drops.Load()) {
 		t.Fatalf("drop.ring = %d, NIC counter %d", got, b.Drops.Load())

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"dagger/internal/dataplane"
 	"dagger/internal/metrics"
 )
 
@@ -31,22 +30,18 @@ type held[T any] struct {
 }
 
 // Stage is the one executor of fault verdicts: every substrate's
-// queue-admission point (fabric ring admission, nicmodel RX buffer and TX
-// request table) is a Stage over its own Sink, so verdict semantics — what
-// a duplicate's order is, when a held item ages and releases, what a
-// refused release becomes — exist once and cross-substrate parity holds by
-// construction. A Stage allocates only when its held list grows and is not
-// safe for concurrent use: substrates with concurrent producers lock around
-// it, which also makes the verdict sequence deterministic under a serial
-// driver.
+// queue-admission point (fabric ring admission, the nicmodel RX buffer) is a
+// Stage over its own Sink, so verdict semantics — what a duplicate's order
+// is, when a held item ages and releases, what a refused item becomes —
+// exist once and cross-substrate parity holds by construction. Both queues
+// drop on overflow, so the stage discards whatever its queue refuses. A
+// Stage allocates only when its held list grows and is not safe for
+// concurrent use: substrates with concurrent producers lock around it, which
+// also makes the verdict sequence deterministic under a serial driver.
 type Stage[T any] struct {
 	sink Sink[T]
-	// rehold is the queue's overflow policy applied to a due release the
-	// queue refuses: backpressure re-holds it for the next Deliver, drop
-	// discards it.
-	rehold bool
-	inj    *Injector
-	held   []held[T]
+	inj  *Injector
+	held []held[T]
 
 	// Verdicts executed at this stage. Dups counts copies the queue actually
 	// took; CorruptDrops counts corrupted items the integrity check caught,
@@ -54,10 +49,9 @@ type Stage[T any] struct {
 	Drops, Dups, Delays, Corrupts, CorruptDrops metrics.Counter
 }
 
-// NewStage returns an idle stage (no injector) in front of sink, whose queue
-// treats refused items per overflow.
-func NewStage[T any](sink Sink[T], overflow dataplane.Overflow) *Stage[T] {
-	return &Stage[T]{sink: sink, rehold: !dataplane.DropRefused(overflow)}
+// NewStage returns an idle stage (no injector) in front of sink.
+func NewStage[T any](sink Sink[T]) *Stage[T] {
+	return &Stage[T]{sink: sink}
 }
 
 // Describe registers the stage's counters into reg as prefix+"dropped",
@@ -132,16 +126,12 @@ func (s *Stage[T]) Deliver(item T) bool {
 	return ok
 }
 
-// admit offers the producer's own item to the queue. Refused under a drop
-// policy it is the stage's to discard; under backpressure it stays with the
-// producer, who sees false and retries.
+// admit offers item to the queue, discarding it if the queue refuses it.
 func (s *Stage[T]) admit(item T) bool {
 	if s.sink.Admit(item) {
 		return true
 	}
-	if !s.rehold {
-		s.sink.Discard(item)
-	}
+	s.sink.Discard(item)
 	return false
 }
 
@@ -149,24 +139,18 @@ func (s *Stage[T]) admit(item T) bool {
 func (s *Stage[T]) release() {
 	kept := s.held[:0]
 	for _, h := range s.held {
-		switch {
-		case h.remaining > 0:
+		if h.remaining > 0 {
 			kept = append(kept, h)
-		case s.sink.Admit(h.item):
-		case s.rehold:
-			h.remaining = 1
-			kept = append(kept, h)
-		default:
-			s.sink.Discard(h.item)
+		} else {
+			s.admit(h.item)
 		}
 	}
 	clear(s.held[len(kept):])
 	s.held = kept
 }
 
-// Flush admits every held item now, in hold order. Nothing is re-held: a
-// drain has no later Deliver to absorb backpressure, so an item the queue
-// refuses is discarded under either policy.
+// Flush admits every held item now, in hold order, discarding any the queue
+// refuses.
 func (s *Stage[T]) Flush() { s.drain(true) }
 
 // DiscardHeld discards every held item without admitting it, for a

@@ -3,8 +3,6 @@ package faults
 import (
 	"slices"
 	"testing"
-
-	"dagger/internal/dataplane"
 )
 
 // recSink is a recording Sink over a bounded queue of item ids. Clones are
@@ -72,10 +70,8 @@ type step struct {
 type tally struct{ drops, dups, delays, corrupts, corruptDrops uint64 }
 
 func TestStageVerdicts(t *testing.T) {
-	const drop, hold = dataplane.RxRingOverflow, dataplane.TxTableOverflow
 	cases := []struct {
 		name      string
-		overflow  dataplane.Overflow
 		capacity  int
 		catch     bool
 		steps     []step
@@ -84,66 +80,54 @@ func TestStageVerdicts(t *testing.T) {
 		discarded []int // after the final Flush
 		tally     tally
 	}{
-		{name: "deliver", overflow: drop,
+		{name: "deliver",
 			steps: []step{{Deliver, 0, 1, 0, true}, {Deliver, 0, 2, 0, true}},
 			queue: []int{1, 2}},
-		{name: "deliver refused under drop is discarded", overflow: drop, capacity: 1,
+		{name: "deliver refused under drop is discarded", capacity: 1,
 			steps: []step{{Deliver, 0, 1, 0, true}, {Deliver, 0, 2, 0, false}},
 			queue: []int{1}, discarded: []int{2}},
-		{name: "deliver refused under backpressure stays with the producer", overflow: hold, capacity: 1,
-			steps: []step{{Deliver, 0, 1, 0, true}, {Deliver, 0, 2, 0, false}},
-			queue: []int{1}},
-		{name: "drop is silent to the producer", overflow: drop,
+		{name: "drop is silent to the producer",
 			steps:     []step{{Drop, 0, 1, 0, true}},
 			discarded: []int{1}, tally: tally{drops: 1}},
-		{name: "corrupt caught", overflow: drop, catch: true,
+		{name: "corrupt caught", catch: true,
 			steps:     []step{{CorruptBit, 0, 1, 0, true}},
 			discarded: []int{1}, tally: tally{corrupts: 1, corruptDrops: 1}},
-		{name: "corrupt escaped is admitted", overflow: drop,
+		{name: "corrupt escaped is admitted",
 			steps: []step{{CorruptBit, 0, 1, 0, true}},
 			queue: []int{1}, tally: tally{corrupts: 1}},
-		{name: "duplicate lands right behind its original", overflow: drop,
+		{name: "duplicate lands right behind its original",
 			steps: []step{{Duplicate, 0, 1, 0, true}, {Deliver, 0, 2, 0, true}},
 			queue: []int{1, 1 + cloneMark, 2}, tally: tally{dups: 1}},
-		{name: "duplicate copy refused is discarded uncounted", overflow: hold, capacity: 1,
+		{name: "duplicate copy refused is discarded uncounted", capacity: 1,
 			steps: []step{{Duplicate, 0, 1, 0, true}},
 			queue: []int{1}, discarded: []int{1 + cloneMark}},
-		{name: "duplicate into a full queue", overflow: drop, capacity: 1,
+		{name: "duplicate into a full queue", capacity: 1,
 			steps: []step{{Deliver, 0, 9, 0, true}, {Duplicate, 0, 1, 0, false}},
 			queue: []int{9}, discarded: []int{1, 1 + cloneMark}},
-		{name: "reorder swaps with its successor", overflow: drop,
+		{name: "reorder swaps with its successor",
 			steps: []step{{Reorder, 0, 1, 0, true}, {Deliver, 0, 2, 0, true}, {Deliver, 0, 3, 0, true}},
 			queue: []int{2, 1, 3}, tally: tally{delays: 1}},
-		{name: "holds age per deliver and release when due, not in hold order", overflow: drop,
+		{name: "holds age per deliver and release when due, not in hold order",
 			steps: []step{{Delay, 3, 1, 0, true}, {Delay, 1, 2, 0, true},
 				{Deliver, 0, 3, 0, true}, {Deliver, 0, 4, 0, true}},
 			queue: []int{3, 2, 4, 1}, tally: tally{delays: 2}},
-		{name: "holds due together release in hold order", overflow: drop,
+		{name: "holds due together release in hold order",
 			steps: []step{{Delay, 2, 1, 0, true}, {Delay, 1, 2, 0, true}, {Deliver, 0, 3, 0, true}},
 			queue: []int{3, 1, 2}, tally: tally{delays: 2}},
-		{name: "flush releases in hold order", overflow: drop,
+		{name: "flush releases in hold order",
 			steps:   []step{{Delay, 4, 1, 0, true}, {Delay, 4, 2, 0, true}, {Delay, 4, 3, 0, true}},
 			flushed: []int{1, 2, 3}, tally: tally{delays: 3}},
-		{name: "due release refused under drop is discarded", overflow: drop, capacity: 1,
+		{name: "due release refused under drop is discarded", capacity: 1,
 			steps: []step{{Reorder, 0, 1, 0, true}, {Deliver, 0, 2, 0, true}},
 			queue: []int{2}, discarded: []int{1}, tally: tally{delays: 1}},
-		{name: "due release refused under backpressure is re-held", overflow: hold, capacity: 1,
-			steps: []step{{Reorder, 0, 1, 0, true}, {Deliver, 0, 2, 0, true},
-				// Still full: 3 is refused (and stays with its producer), 1 re-holds.
-				{Deliver, 0, 3, 0, false},
-				// The consumer frees the slot; 4 takes it, 1 re-holds once more.
-				{Deliver, 0, 4, 1, true},
-				// Freed again with nothing competing: a dropped admission ages 1 in.
-				{Drop, 0, 5, 1, true}},
-			queue: []int{1}, discarded: []int{5}, tally: tally{delays: 1, drops: 1}},
-		{name: "flush never re-holds", overflow: hold, capacity: 1,
+		{name: "flush never re-holds", capacity: 1,
 			steps:   []step{{Delay, 4, 1, 0, true}, {Delay, 4, 2, 0, true}},
 			flushed: []int{1}, discarded: []int{2}, tally: tally{delays: 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := &recSink{capacity: tc.capacity, catch: tc.catch}
-			s := NewStage[int](sink, tc.overflow)
+			s := NewStage[int](sink)
 			for i, st := range tc.steps {
 				sink.queue = sink.queue[st.pop:]
 				// Script the verdict without SetInjector's flush.
@@ -184,7 +168,7 @@ func TestStageVerdicts(t *testing.T) {
 // what the previous one held; DiscardHeld recycles without admitting.
 func TestStageInjectorLifecycle(t *testing.T) {
 	sink := &recSink{}
-	s := NewStage[int](sink, dataplane.RxRingOverflow)
+	s := NewStage[int](sink)
 	if s.Active() || !s.Deliver(1) {
 		t.Fatal("idle stage did not admit directly")
 	}
@@ -218,7 +202,7 @@ func TestStageDeliverZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStage[int](nullSink{}, dataplane.RxRingOverflow)
+	s := NewStage[int](nullSink{})
 	s.SetInjector(inj)
 	// Warm the held list to its steady-state capacity first.
 	for i := 0; i < 1000; i++ {

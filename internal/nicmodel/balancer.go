@@ -4,57 +4,30 @@ import (
 	"dagger/internal/dataplane"
 )
 
-// BalancerKind selects the load balancing scheme steering incoming RPCs to
-// NIC flows (§4.4.2, §5.7). The choice is soft-configurable per NIC
-// instance; servers specify it when registering connections.
-//
-// BalancerKind aliases dataplane.Scheme: the steering decision itself lives
-// in internal/dataplane and is shared verbatim with the functional stack's
-// fabric, so the two substrates cannot drift. The zero value is
-// BalancerStatic, matching NewNIC's default soft configuration.
-type BalancerKind = dataplane.Scheme
-
-// Load balancing schemes (aliases kept for API compatibility; see
-// dataplane.Scheme for semantics).
-const (
-	// BalancerStatic steers by the flow recorded in the connection tuple —
-	// "static load balancing": responses return to the flow the request
-	// came from.
-	BalancerStatic = dataplane.SteerStatic
-	// BalancerUniform distributes incoming RPCs evenly (round-robin) over
-	// flows — "dynamic uniform steering". Right for stateless tiers.
-	BalancerUniform = dataplane.SteerUniform
-	// BalancerObjectLevel hashes the request key to a flow (MICA's
-	// object-level core affinity, implemented on the FPGA for §5.7):
-	// requests for the same key always reach the same partition.
-	BalancerObjectLevel = dataplane.SteerKeyHash
-)
-
 // Steer describes one steering decision's inputs.
 type Steer struct {
 	ConnFlow uint16 // flow from the connection tuple (static scheme)
 	Key      []byte // request key (object-level scheme)
 }
 
-// Balancer steers incoming RPCs to one of NFlows flow FIFOs. It is a thin
-// stateful shell — the round-robin counter and flow count — around the pure
-// decision functions in internal/dataplane.
+// Balancer steers incoming RPCs to one of NFlows flow FIFOs (§4.4.2, §5.7).
+// It is a thin stateful shell — the round-robin counter and flow count —
+// around the pure decision functions in internal/dataplane, which the
+// functional stack's fabric shares verbatim, so the two substrates cannot
+// drift.
 type Balancer struct {
-	kind   BalancerKind
+	scheme dataplane.Scheme
 	nflows int
 	rr     uint32
 }
 
 // NewBalancer creates a balancer over nflows flows.
-func NewBalancer(kind BalancerKind, nflows int) *Balancer {
+func NewBalancer(scheme dataplane.Scheme, nflows int) *Balancer {
 	if nflows <= 0 {
 		panic("nicmodel: balancer needs at least one flow")
 	}
-	return &Balancer{kind: kind, nflows: nflows}
+	return &Balancer{scheme: scheme, nflows: nflows}
 }
-
-// Kind returns the steering scheme.
-func (b *Balancer) Kind() BalancerKind { return b.kind }
 
 // Pick returns the target flow for one request.
 func (b *Balancer) Pick(s Steer) uint16 {
@@ -65,8 +38,8 @@ func (b *Balancer) Pick(s Steer) uint16 {
 		Key:      s.Key,
 		RR:       b.rr,
 	}
-	f := dataplane.Steer(b.kind, in)
-	if b.kind == dataplane.SteerUniform {
+	f := dataplane.Steer(b.scheme, in)
+	if b.scheme == dataplane.SteerUniform {
 		b.rr++
 	}
 	return f

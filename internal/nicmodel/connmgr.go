@@ -1,10 +1,11 @@
 // Package nicmodel implements the Dagger NIC's hardware blocks at the
-// structural level of Figures 6, 8 and 9: the connection manager's
-// direct-mapped 1W3R cache, the load balancers, the TX-path request buffer
-// with its free-slot FIFO and flow FIFOs, the flow scheduler, the host
-// coherent cache (HCC), the packet monitor, and the soft-reconfiguration
-// unit. These blocks are composed with the interconnect models into a full
-// RPC pipeline by the experiment harness.
+// structural level of Figures 6 and 8: the connection manager's
+// direct-mapped 1W3R cache, the load balancers, the RX-path batching, the
+// host coherent cache (HCC), the packet monitor, and the RPC unit's pipeline
+// timing. The experiment harness composes these blocks with the interconnect
+// models into a full RPC pipeline, and models TX batching (Fig. 9B) and soft
+// reconfiguration (§4.1) itself: experiments.batcher groups submissions into
+// CCI-P batches, and experiments.ResolveAutoBatch picks the batch width.
 package nicmodel
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 
 	"dagger/internal/connstate"
+	"dagger/internal/dataplane"
 	"dagger/internal/sim"
 )
 
@@ -20,7 +22,7 @@ import (
 type ConnTuple struct {
 	SrcFlow      uint16 // flow receiving this connection's requests
 	DestAddr     uint32 // destination host
-	LoadBalancer BalancerKind
+	LoadBalancer dataplane.Scheme
 }
 
 // ConnectionManager models the CM block: a direct-mapped connection cache

@@ -55,43 +55,3 @@ func TestRxPathFaultReadySignal(t *testing.T) {
 		t.Fatalf("stage counters not exported under fault.*: %v", snap.Filter("fault"))
 	}
 }
-
-// A held TX request whose release finds the table full is re-held for the
-// next admission — the table's overflow policy is backpressure, not loss.
-func TestTxPathFaultReleaseBackpressure(t *testing.T) {
-	tx := NewTxPath(1, 1) // 1-entry table
-	tx.SetFaultInjector(allOf(t, faults.Rates{Delay: faults.RateDenominator}))
-	if !tx.Enqueue(0, 1, nil) {
-		t.Fatal("held enqueue reported refusal")
-	}
-	tx.SetFaultInjector(nil)
-	// Request 1 released into the only slot; fill checks below go through the
-	// plain path.
-	if tx.FlowDepth(0) != 1 {
-		t.Fatalf("released request not tabled: depth %d", tx.FlowDepth(0))
-	}
-
-	// Now hold a request while the table is full: its release must re-hold
-	// rather than drop.
-	tx.SetFaultInjector(allOf(t, faults.Rates{Delay: faults.RateDenominator}))
-	if !tx.Enqueue(0, 2, nil) {
-		t.Fatal("held enqueue reported refusal")
-	}
-	// Age it to due by pushing more admissions through the stage (each is
-	// itself held, but only request 2 ever comes due first).
-	for i := 0; i < 8; i++ {
-		tx.Enqueue(0, uint64(10+i), nil)
-	}
-	if tx.FlowDepth(0) != 1 {
-		t.Fatalf("full table admitted a release: depth %d", tx.FlowDepth(0))
-	}
-	// Drain the table; the re-held request lands on the next admission-driven
-	// release (flush).
-	if _, _, ok := tx.ScheduleBatch(true); !ok {
-		t.Fatal("schedule of tabled request failed")
-	}
-	tx.FlushFaults()
-	if tx.FlowDepth(0) == 0 {
-		t.Fatal("re-held request was lost instead of released after space freed")
-	}
-}

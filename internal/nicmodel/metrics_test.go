@@ -1,23 +1,23 @@
 package nicmodel
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
-	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/sim"
 )
 
-// TestNICMetricsRegistry checks that the NIC's registry-backed samples
-// agree with the pre-existing getters and monitor fields.
+// TestNICMetricsRegistry pins the timing NIC's exact sample set and checks
+// each sample against the block it reads, so a counter that nothing
+// increments cannot be registered unnoticed.
 func TestNICMetricsRegistry(t *testing.T) {
 	eng := sim.NewEngine()
-	n, err := NewNIC(eng, HardConfig{NFlows: 2, ConnCacheSize: 8, Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 4}})
+	n, err := NewNIC(eng, HardConfig{ConnCacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Monitor.RPCsIn.Add(3)
 	n.Monitor.Sheds.Add(2)
 	if err := n.CM.Open(1, ConnTuple{}); err != nil {
 		t.Fatal(err)
@@ -27,51 +27,44 @@ func TestNICMetricsRegistry(t *testing.T) {
 	}
 	n.HCC.Access(0)
 	n.HCC.Access(0)
-	if !n.TX.Enqueue(0, 1, nil) {
-		t.Fatal("enqueue refused")
-	}
 
 	s := n.Metrics().Snapshot()
+	var names []string
+	for _, sm := range s.Samples {
+		names = append(names, sm.Name)
+	}
+	want := []string{
+		"conn.closes", "conn.evictions", "conn.hits", "conn.lookups", "conn.misses", "conn.open", "conn.opens",
+		"hcc.hits", "hcc.misses", "shed.expired",
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("samples = %v, want %v", names, want)
+	}
 	checks := map[string]int64{
-		"rpc.in":        3,
-		"shed.expired":  2,
-		"conn.opens":    int64(n.CM.Stats().Opens),
-		"conn.hits":     int64(n.CM.Stats().Hits),
-		"conn.open":     int64(n.CM.OpenCount()),
-		"hcc.hits":      int64(n.HCC.Hits.Load()),
-		"hcc.misses":    int64(n.HCC.Misses.Load()),
-		"tx.enqueued":   int64(n.TX.Enqueued.Load()),
-		"reconfig.soft": int64(n.Monitor.SoftReconfig.Load()),
+		"shed.expired": 2,
+		"conn.opens":   1,
+		"conn.hits":    1,
+		"conn.lookups": 1,
+		"conn.open":    1,
+		"hcc.hits":     1,
+		"hcc.misses":   1,
 	}
 	for name, want := range checks {
 		if got := s.Value(name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-
-	// TX gauges must follow a reconfigured (rebuilt) TX path, not the old
-	// instance.
-	soft := n.Soft()
-	soft.Batch = 2
-	if err := n.Reconfigure(soft); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.Metrics().Snapshot().Value("tx.enqueued"); got != 0 {
-		t.Fatalf("tx.enqueued after reconfigure = %d, want 0 (fresh TX path)", got)
-	}
 }
 
 // TestCountersSnapshotRace is the mixed atomic/plain access regression test:
-// before the metrics migration, RxPath/TxPath/HCC counters were plain
-// uint64s, so a registry snapshot concurrent with the model would race.
-// Run under -race this pins the fix.
+// before the metrics migration, RxPath/HCC counters were plain uint64s, so a
+// registry snapshot concurrent with the model would race. Run under -race
+// this pins the fix.
 func TestCountersSnapshotRace(t *testing.T) {
 	rx := NewRxPath(2, 8)
-	tx := NewTxPath(2, 2)
 	hcc := NewHCC()
 	reg := metrics.New()
 	rx.DescribeMetrics(reg)
-	tx.DescribeMetrics(reg)
 	hcc.DescribeMetrics(reg)
 
 	var wg sync.WaitGroup
@@ -81,9 +74,6 @@ func TestCountersSnapshotRace(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			rx.Deliver(RxEntry{RPCID: uint64(i)})
 			rx.Complete(0)
-			if tx.Enqueue(uint16(i%2), uint64(i), nil) {
-				tx.ScheduleBatch(true)
-			}
 			hcc.Access(uint64(i) * 64)
 		}
 	}()

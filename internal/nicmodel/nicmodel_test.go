@@ -6,14 +6,13 @@ import (
 	"testing/quick"
 
 	"dagger/internal/dataplane"
-	"dagger/internal/interconnect"
 	"dagger/internal/sim"
 	"dagger/internal/wire"
 )
 
 func TestConnectionManagerOpenLookupClose(t *testing.T) {
 	cm := NewConnectionManager(64)
-	tup := ConnTuple{SrcFlow: 3, DestAddr: 0x0A000001, LoadBalancer: BalancerStatic}
+	tup := ConnTuple{SrcFlow: 3, DestAddr: 0x0A000001, LoadBalancer: dataplane.SteerStatic}
 	if err := cm.Open(7, tup); err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,7 @@ func TestConnectionManagerLimits(t *testing.T) {
 }
 
 func TestBalancerUniformRoundRobin(t *testing.T) {
-	b := NewBalancer(BalancerUniform, 4)
+	b := NewBalancer(dataplane.SteerUniform, 4)
 	counts := make([]int, 4)
 	for i := 0; i < 100; i++ {
 		counts[b.Pick(Steer{})]++
@@ -165,7 +164,7 @@ func TestBalancerUniformRoundRobin(t *testing.T) {
 }
 
 func TestBalancerStatic(t *testing.T) {
-	b := NewBalancer(BalancerStatic, 4)
+	b := NewBalancer(dataplane.SteerStatic, 4)
 	for f := uint16(0); f < 4; f++ {
 		if got := b.Pick(Steer{ConnFlow: f}); got != f {
 			t.Fatalf("static pick = %d, want %d", got, f)
@@ -178,7 +177,7 @@ func TestBalancerStatic(t *testing.T) {
 }
 
 func TestBalancerObjectLevelAffinity(t *testing.T) {
-	b := NewBalancer(BalancerObjectLevel, 8)
+	b := NewBalancer(dataplane.SteerKeyHash, 8)
 	// Same key always lands on the same flow (MICA's requirement, §5.7).
 	k := []byte("user:42")
 	first := b.Pick(Steer{Key: k})
@@ -194,93 +193,6 @@ func TestBalancerObjectLevelAffinity(t *testing.T) {
 	}
 	if len(seen) < 6 {
 		t.Fatalf("object-level steering used only %d/8 flows", len(seen))
-	}
-}
-
-func TestTxPathEnqueueSchedule(t *testing.T) {
-	tx := NewTxPath(4, 2)
-	if tx.TableSize() != 8 {
-		t.Fatalf("table size = %d, want 8", tx.TableSize())
-	}
-	for i := 0; i < 4; i++ {
-		if !tx.Enqueue(0, uint64(i), []byte{byte(i)}) {
-			t.Fatalf("enqueue %d failed", i)
-		}
-	}
-	// Flow 1 has fewer than a batch: not schedulable without force.
-	tx.Enqueue(1, 100, []byte{0xAA})
-	data, flow, ok := tx.ScheduleBatch(false)
-	if !ok || flow != 0 || len(data) != 4 {
-		t.Fatalf("schedule = %v flow %d ok %v", data, flow, ok)
-	}
-	for i, d := range data {
-		if d[0] != byte(i) {
-			t.Fatalf("batch order wrong at %d", i)
-		}
-	}
-	if _, _, ok := tx.ScheduleBatch(false); ok {
-		t.Fatal("partial batch scheduled without force")
-	}
-	data, flow, ok = tx.ScheduleBatch(true)
-	if !ok || flow != 1 || len(data) != 1 || data[0][0] != 0xAA {
-		t.Fatal("forced flush failed")
-	}
-	if tx.FreeSlots() != tx.TableSize() {
-		t.Fatalf("slots leaked: %d free of %d", tx.FreeSlots(), tx.TableSize())
-	}
-}
-
-func TestTxPathBackpressure(t *testing.T) {
-	tx := NewTxPath(2, 1)
-	if !tx.Enqueue(0, 1, nil) || !tx.Enqueue(0, 2, nil) {
-		t.Fatal("fill failed")
-	}
-	if tx.Enqueue(0, 3, nil) {
-		t.Fatal("enqueue into full table succeeded")
-	}
-	if tx.Stalls.Load() != 1 {
-		t.Fatalf("stalls = %d, want 1", tx.Stalls.Load())
-	}
-}
-
-// Property: slots never leak — after any enqueue/schedule sequence,
-// free + queued == table size, and scheduled batches preserve FIFO order
-// within a flow.
-func TestTxPathSlotConservationProperty(t *testing.T) {
-	f := func(ops []uint8) bool {
-		tx := NewTxPath(3, 4)
-		queued := 0
-		nextID := uint64(0)
-		expect := make([][]uint64, 4)
-		for _, op := range ops {
-			if op%2 == 0 {
-				flow := uint16(op/2) % 4
-				if tx.Enqueue(flow, nextID, []byte{byte(nextID)}) {
-					expect[flow] = append(expect[flow], nextID)
-					queued++
-				}
-				nextID++
-			} else {
-				data, flow, ok := tx.ScheduleBatch(op%4 == 3)
-				if ok {
-					for i, d := range data {
-						want := expect[flow][i]
-						if d[0] != byte(want) {
-							return false
-						}
-					}
-					expect[flow] = expect[flow][len(data):]
-					queued -= len(data)
-				}
-			}
-			if tx.FreeSlots()+queued != tx.TableSize() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -316,62 +228,28 @@ func TestHCCConflict(t *testing.T) {
 }
 
 func TestHardConfigValidation(t *testing.T) {
-	good := HardConfig{NFlows: 64, ConnCacheSize: 65536, Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 4}}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
+	for _, size := range []int{1, 65536, MaxCachedConnections} {
+		if err := (HardConfig{ConnCacheSize: size}).Validate(); err != nil {
+			t.Errorf("cache size %d: %v", size, err)
+		}
 	}
-	bad := []HardConfig{
-		{NFlows: 0, ConnCacheSize: 64, Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 1}},
-		{NFlows: MaxNFlows + 1, ConnCacheSize: 64, Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 1}},
-		{NFlows: 4, ConnCacheSize: 0, Iface: interconnect.Config{Kind: interconnect.UPI, Batch: 1}},
-		{NFlows: 4, ConnCacheSize: 64, Iface: interconnect.Config{Kind: interconnect.MMIO, Batch: 2}},
-	}
-	for i, h := range bad {
-		if err := h.Validate(); err == nil {
-			t.Errorf("bad config %d validated", i)
+	for _, size := range []int{-1, 0, MaxCachedConnections + 1} {
+		if err := (HardConfig{ConnCacheSize: size}).Validate(); err == nil {
+			t.Errorf("cache size %d validated", size)
+		}
+		if _, err := NewNIC(sim.NewEngine(), HardConfig{ConnCacheSize: size}); err == nil {
+			t.Errorf("NewNIC accepted cache size %d", size)
 		}
 	}
 }
 
 func newTestNIC(t *testing.T, eng *sim.Engine) *NIC {
 	t.Helper()
-	n, err := NewNIC(eng, HardConfig{
-		NFlows:        8,
-		ConnCacheSize: 1024,
-		Iface:         interconnect.Config{Kind: interconnect.UPI, Batch: 4},
-	})
+	n, err := NewNIC(eng, HardConfig{ConnCacheSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
-}
-
-func TestNICSoftReconfigure(t *testing.T) {
-	eng := sim.NewEngine()
-	n := newTestNIC(t, eng)
-	if n.Soft().Batch != 4 || n.Soft().ActiveFlows != 8 {
-		t.Fatalf("defaults = %+v", n.Soft())
-	}
-	s := n.Soft()
-	s.Batch = 1
-	s.ActiveFlows = 2
-	s.Balancer = BalancerObjectLevel
-	if err := n.Reconfigure(s); err != nil {
-		t.Fatal(err)
-	}
-	if n.Balancer.Kind() != BalancerObjectLevel {
-		t.Fatal("balancer not rebuilt")
-	}
-	if n.TX.TableSize() != 2 {
-		t.Fatalf("tx table = %d, want batch*flows = 2", n.TX.TableSize())
-	}
-	s.ActiveFlows = 9 // exceeds hard NFlows
-	if err := n.Reconfigure(s); err == nil {
-		t.Fatal("overscaled soft config accepted")
-	}
-	if n.Monitor.SoftReconfig.Load() != 2 {
-		t.Fatalf("reconfig count = %d, want 2", n.Monitor.SoftReconfig.Load())
-	}
 }
 
 func TestNICPipelineDelay(t *testing.T) {
@@ -393,16 +271,6 @@ func TestNICPipelineDelay(t *testing.T) {
 	n2 := newTestNIC(t, eng2)
 	if n2.PipelineDelay(big) <= d1 {
 		t.Fatal("multi-line RPC should take longer than single-line")
-	}
-}
-
-func TestTXRingSizeFor(t *testing.T) {
-	// §4.4: for 12.4 Mrps per flow the ring needs ~10 entries.
-	if n := TXRingSizeFor(12.4e6); n != 10 {
-		t.Fatalf("ring size for 12.4 Mrps = %d, want 10", n)
-	}
-	if n := TXRingSizeFor(1000); n != 1 {
-		t.Fatalf("ring size floor = %d, want 1", n)
 	}
 }
 
@@ -500,30 +368,6 @@ func TestRxPathCongestionMarking(t *testing.T) {
 	}
 	if rx.Marked.Load() != capEntries/2 {
 		t.Fatalf("Marked = %d, want %d", rx.Marked.Load(), capEntries/2)
-	}
-}
-
-// TestTxPathCongestionMarking fills the request table without scheduling:
-// slots claimed at or past half occupancy are stamped.
-func TestTxPathCongestionMarking(t *testing.T) {
-	tx := NewTxPath(4, 2) // table of 8
-	size := tx.TableSize()
-	for i := 0; i < size; i++ {
-		if !tx.Enqueue(uint16(i%2), uint64(i), nil) {
-			t.Fatalf("enqueue %d refused", i)
-		}
-	}
-	marked := 0
-	for _, s := range tx.table {
-		if s.Marked {
-			marked++
-			if !dataplane.HintCongested(s.Hint) {
-				t.Fatalf("marked slot has low hint %d", s.Hint)
-			}
-		}
-	}
-	if marked != size/2 || tx.Marked.Load() != uint64(size/2) {
-		t.Fatalf("marked %d slots (counter %d), want %d", marked, tx.Marked.Load(), size/2)
 	}
 }
 

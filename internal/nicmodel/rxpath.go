@@ -48,24 +48,17 @@ type RxPath struct {
 	Marked    metrics.Counter // entries congestion-marked at admission
 }
 
-// valueSink supplies the faults.Sink operations that are trivial for the
-// timing model's value-typed queue entries: there is no storage to recycle,
-// a copy is the value itself, and the modelled header-checksum check catches
-// every flip at admission — counted and discarded, never queued (the
-// functional fabric verifies wire.VerifyChecksum for real at the same point).
-type valueSink[T any] struct{}
+// rxSink is the RX buffer as the fault stage sees it. Entries are values:
+// there is no storage to recycle, a copy is the value itself, and the
+// modelled header-checksum check catches every flip at admission — counted
+// and discarded, never queued (the functional fabric verifies
+// wire.VerifyChecksum for real at the same point).
+type rxSink struct{ r *RxPath }
 
-func (valueSink[T]) Discard(T)              {}
-func (valueSink[T]) Clone(item T) T         { return item }
-func (valueSink[T]) Corrupt(T, uint32) bool { return true }
-
-// rxSink is the RX buffer as the fault stage sees it.
-type rxSink struct {
-	valueSink[RxEntry]
-	r *RxPath
-}
-
-func (s rxSink) Admit(e RxEntry) bool { return s.r.admit(e) }
+func (s rxSink) Admit(e RxEntry) bool       { return s.r.admit(e) }
+func (rxSink) Discard(RxEntry)              {}
+func (rxSink) Clone(e RxEntry) RxEntry      { return e }
+func (rxSink) Corrupt(RxEntry, uint32) bool { return true }
 
 // DescribeMetrics registers the RX path's counters into reg. The
 // cross-substrate names (mark.rx.stamped and drop.rx.ring) are gauges here,
@@ -94,7 +87,7 @@ func NewRxPath(batch, capEntries int) *RxPath {
 		capEntries = batch
 	}
 	r := &RxPath{batch: batch, cap: capEntries}
-	r.faults = faults.NewStage[RxEntry](rxSink{r: r}, dataplane.RxRingOverflow)
+	r.faults = faults.NewStage[RxEntry](rxSink{r: r})
 	return r
 }
 
@@ -117,7 +110,7 @@ func (r *RxPath) FlushFaults() (ready bool) {
 // stage when an injector is installed. When a full batch has accumulated, it
 // is moved to the pending completion set and ready=true is returned.
 // Admission is the dataplane queue policy: a full buffer drops the RPC
-// (dataplane.RxRingOverflow, best-effort delivery).
+// (best-effort delivery, as at the functional fabric's rings).
 func (r *RxPath) Deliver(e RxEntry) (ready bool) {
 	r.ready = false
 	r.faults.Deliver(e)
@@ -131,9 +124,7 @@ func (r *RxPath) Deliver(e RxEntry) (ready bool) {
 func (r *RxPath) admit(e RxEntry) bool {
 	depth := len(r.buf) + len(r.pending)
 	if !dataplane.Admit(depth, r.cap) {
-		if dataplane.DropRefused(dataplane.RxRingOverflow) {
-			r.Dropped.Inc()
-		}
+		r.Dropped.Inc()
 		return false
 	}
 	// Same mark decision (and same depth expression) as the admission

@@ -115,7 +115,7 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 		return nil, err
 	}
 	res.FitCalls = len(fitLat)
-	res.FitMisses = serverNIC.ConnStats().Misses
+	res.FitMisses = uint64(serverNIC.Metrics().Snapshot().Value("conn.misses"))
 	res.FitP50, res.FitP99 = latPercentiles(fitLat)
 	if res.FitMisses != 0 {
 		return nil, fmt.Errorf("connscale: %d conns inside a %d-entry cache missed %d times",
@@ -137,7 +137,7 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 		return nil, err
 	}
 	res.SpillCalls = len(spillLat)
-	res.SpillMisses = serverNIC.ConnStats().Misses
+	res.SpillMisses = uint64(serverNIC.Metrics().Snapshot().Value("conn.misses"))
 	res.SpillP50, res.SpillP99 = latPercentiles(spillLat)
 	if res.SpillMisses < uint64(res.SpillCalls)/2 {
 		return nil, fmt.Errorf("connscale: %d conns over a %d-entry cache missed only %d/%d lookups",
@@ -156,7 +156,7 @@ func RunConnScale(cfg ConnScaleConfig) (*ConnScaleResult, error) {
 			return nil, fmt.Errorf("connscale: close conn %d: %w", id, err)
 		}
 	}
-	res.FinalOpen = serverNIC.ConnOpenCount()
+	res.FinalOpen = int(serverNIC.Metrics().Snapshot().Value("conn.open"))
 	if res.FinalOpen != 0 {
 		return nil, fmt.Errorf("connscale: %d server entries leaked after closing all %d conns",
 			res.FinalOpen, res.SpillConns)
