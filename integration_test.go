@@ -1,7 +1,7 @@
 package dagger_test
 
 // Cross-module integration tests: the IDL-generated stubs over the
-// functional stack, multi-cache-line RPCs through the software reassembler,
+// functional stack, multi-cache-line RPCs opened as whole frames,
 // and a full application path across two fabrics bridged over real UDP with
 // the reliable transport protocol.
 
@@ -100,7 +100,7 @@ func TestGeneratedStubsEndToEnd(t *testing.T) {
 }
 
 // TestMultiLineRPCs pushes payloads spanning 1..40 cache lines through the
-// stack, exercising the §4.7 software reassembly path end to end.
+// stack, exercising multi-line framing and frame opening end to end.
 func TestMultiLineRPCs(t *testing.T) {
 	fab := fabric.NewFabric()
 	cnic, _ := fab.CreateNIC(1, 1, 256)

@@ -9,15 +9,16 @@ import (
 )
 
 // allocReq spans two cache lines so the round trip exercises multi-line
-// reassembly, not just the single-line fast path.
+// framing, not just a single-line frame.
 var allocReq = []byte("0123456789abcdef0123456789abcdef0123456789abcdef")
 
-// warmAllocPath primes every free list on the round trip: frame and payload
-// buffer pools, the call and timer pools, and the pending-map buckets.
-func warmAllocPath(tb testing.TB, cli *RpcClient, iters int) {
+// warmAllocPath primes every free list on the round trip of req: frame and
+// payload buffer pools, the call and timer pools, and the pending-map
+// buckets.
+func warmAllocPath(tb testing.TB, cli *RpcClient, req []byte, iters int) {
 	tb.Helper()
 	for i := 0; i < iters; i++ {
-		resp, err := cli.Call(0, allocReq)
+		resp, err := cli.Call(0, req)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func warmAllocPath(tb testing.TB, cli *RpcClient, iters int) {
 func BenchmarkSendRecvAllocs(b *testing.B) {
 	cli, _, shutdown := testPair(b, ServerConfig{})
 	defer shutdown()
-	warmAllocPath(b, cli, 200)
+	warmAllocPath(b, cli, allocReq, 200)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

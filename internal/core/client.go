@@ -582,27 +582,22 @@ func (c *RpcClient) release(cl *call) {
 }
 
 // recvLoop is the client's receive path: it drains the flow's RX ring,
-// reassembles multi-line RPCs in software (§4.7: the interconnect's MTU is
-// one cache line), matches responses to pending calls, and completes them.
-// Frames are recycled to the flow's buffer pool as soon as the reassembler
-// has consumed them; reassembled payloads are handed to callers owned
-// (synchronous calls) or parked in the CompletionQueue (asynchronous).
+// opens each whole frame (wire.OpenFrame: one header parse, one payload
+// copy), matches responses to pending calls, and completes them. Frames are
+// recycled to the flow's buffer pool as soon as they are opened; payloads
+// are handed to callers owned (synchronous calls) or parked in the
+// CompletionQueue (asynchronous).
 func (c *RpcClient) recvLoop() {
 	defer c.recvWG.Done()
 	pool := c.flow.Buffers()
-	ras := wire.NewReassemblerPool(pool)
 	for {
 		frame, ok := c.flow.RecvResponse(c.stop)
 		if !ok {
 			return
 		}
-		m, ok, err := reassemble(ras, pool, c.flowID, frame)
+		m, err := wire.OpenFrame(frame, pool)
 		pool.Put(frame)
-		if err != nil || !ok {
-			// No completed message; m is zero and Put(nil) is loan-neutral,
-			// so repaying unconditionally keeps the ownership contract
-			// uniform on every continue path.
-			pool.Put(m.Payload)
+		if err != nil {
 			continue
 		}
 		if m.Kind != wire.KindResponse {
@@ -706,40 +701,3 @@ const (
 	// invoking the handler because its deadline budget had expired.
 	flagShed = 0x2
 )
-
-// reassemble feeds one delivered frame's cache lines through the software
-// reassembler, returning the completed message if the frame's last line
-// finishes an RPC. The frame is fully consumed: the caller may recycle it
-// as soon as reassemble returns. On true, the returned message's Payload is
-// a pooled buffer the caller owns and must repay to pool.
-//
-// A frame normally carries exactly one marshalled message, but a malformed
-// or batched frame can complete a message and then keep going; any earlier
-// completed payload is repaid here so no path leaks a pool loan.
-//
-// dagger:yields-ownership Payload
-func reassemble(ras *wire.Reassembler, pool wire.BufferPool, flowID uint16, frame []byte) (wire.Message, bool, error) {
-	var (
-		m    wire.Message
-		done bool
-	)
-	for off := 0; off+wire.CacheLineSize <= len(frame); off += wire.CacheLineSize {
-		next, completed, err := ras.AddLine(flowID, frame[off:off+wire.CacheLineSize])
-		if err != nil {
-			if done {
-				pool.Put(m.Payload)
-			}
-			return wire.Message{}, false, err
-		}
-		if completed {
-			if done {
-				// Two messages completed in one frame: only the last is
-				// delivered (the frame was malformed batching), but the
-				// earlier payload's loan must still be repaid.
-				pool.Put(m.Payload)
-			}
-			m, done = next, true
-		}
-	}
-	return m, done, nil
-}

@@ -430,6 +430,17 @@ func TestServerTracing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The server records each span after sending its response, so the last
+	// spans may land after the final call has returned.
+	spans := func() (n int) {
+		for _, tr := range tc.Traces() {
+			n += len(tr.Spans)
+		}
+		return n
+	}
+	for deadline := time.Now().Add(2 * time.Second); spans() < 10 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	rep := tc.Analyze()
 	if rep.Bottleneck() != "slowop" {
 		t.Fatalf("bottleneck = %q, want slowop\n%s", rep.Bottleneck(), rep)

@@ -148,7 +148,7 @@ func TestBudgetShrinksAcrossTiers(t *testing.T) {
 // it without invoking the handler, count it, and answer with a shed flag
 // the client surfaces as ErrShed. (Worker threading is what makes the
 // expiry deterministic: the budget clock starts when the dispatch thread
-// reassembles the request, and the worker queue is where it then ages.)
+// opens the request, and the worker queue is where it then ages.)
 func TestServerShedsExpiredRequests(t *testing.T) {
 	f := fabric.NewFabric()
 	nicS, err := f.CreateNIC(2, 1, 256)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,60 +13,19 @@ import (
 	"dagger/internal/wire"
 )
 
-// Regression tests for pooled-buffer ownership on the RPC receive path. Each
-// pins a leak found by the bufownership dataflow analyzer: every pooled
-// payload loan must be repaid on every path, which the tests assert through
-// the pool's Get/Put loan counters.
+// Regression tests for pooled-buffer ownership on the RPC receive path:
+// every pooled payload loan must be repaid on every path, which the tests
+// assert through the pool's Get/Put loan counters.
 
 func ownershipPool() *ringbuf.BufPool {
 	return ringbuf.NewBufPool(8, nil, wire.MaxFrameSize)
 }
 
-// TestReassembleMultiMessageRepaysPool covers the malformed-batching path:
-// when one frame completes two messages, only the last is delivered but the
-// earlier payload's pool loan must still be repaid inside reassemble.
-func TestReassembleMultiMessageRepaysPool(t *testing.T) {
+// TestOpenFrameIgnoresTrailingLine covers a frame longer than its message:
+// the bytes past the message's last line are not parsed, so a garbage
+// trailing line neither fails the open nor costs a second loan.
+func TestOpenFrameIgnoresTrailingLine(t *testing.T) {
 	pool := ownershipPool()
-	ras := wire.NewReassemblerPool(pool)
-
-	first := &wire.Message{
-		Header:  wire.Header{Kind: wire.KindRequest, RPCID: 1},
-		Payload: []byte("first"),
-	}
-	second := &wire.Message{
-		Header:  wire.Header{Kind: wire.KindRequest, RPCID: 2},
-		Payload: []byte("second"),
-	}
-	frame, err := wire.MarshalAppend(nil, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame, err = wire.MarshalAppend(frame, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m, ok, err := reassemble(ras, pool, 0, frame)
-	if err != nil || !ok {
-		t.Fatalf("reassemble: ok=%v err=%v, want completed message", ok, err)
-	}
-	if m.RPCID != 2 || !bytes.Equal(m.Payload, []byte("second")) {
-		t.Fatalf("reassemble delivered RPCID=%d payload=%q, want the last message", m.RPCID, m.Payload)
-	}
-	// Repay the delivered payload, as the dispatch loop does once it is done.
-	pool.Put(m.Payload)
-	if gets, puts := pool.Loans(); gets != puts {
-		t.Fatalf("pool loans unbalanced after multi-message frame: gets=%d puts=%d", gets, puts)
-	}
-}
-
-// TestReassembleErrorAfterCompletedRepaysPool covers the error-after-done
-// path: a frame whose first message completes and whose trailing line is
-// garbage must repay the completed payload's loan before returning the error.
-func TestReassembleErrorAfterCompletedRepaysPool(t *testing.T) {
-	pool := ownershipPool()
-	ras := wire.NewReassemblerPool(pool)
-
 	msg := &wire.Message{
 		Header:  wire.Header{Kind: wire.KindRequest, RPCID: 7},
 		Payload: []byte("payload"),
@@ -74,22 +34,51 @@ func TestReassembleErrorAfterCompletedRepaysPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A zeroed trailing line fails ParseHeader (bad magic) after the first
-	// message already completed and minted a pooled payload.
 	frame = append(frame, make([]byte, wire.CacheLineSize)...)
 
-	m, ok, err := reassemble(ras, pool, 0, frame)
-	if err == nil || ok {
-		t.Fatalf("reassemble: ok=%v err=%v, want error and no message", ok, err)
+	m, err := wire.OpenFrame(frame, pool)
+	if err != nil {
+		t.Fatalf("OpenFrame: %v", err)
 	}
-	if m.Payload != nil {
-		t.Fatalf("reassemble returned payload %q alongside error", m.Payload)
+	if m.RPCID != 7 || !bytes.Equal(m.Payload, msg.Payload) {
+		t.Fatalf("OpenFrame delivered RPCID=%d payload=%q", m.RPCID, m.Payload)
 	}
-	// Mirror the call sites, which Put the (nil) payload unconditionally on
-	// the continue path; Put(nil) must be loan-neutral.
+	// Repay the delivered payload, as the dispatch loop does once it is done.
 	pool.Put(m.Payload)
-	if gets, puts := pool.Loans(); gets != puts {
-		t.Fatalf("pool loans unbalanced after error mid-frame: gets=%d puts=%d", gets, puts)
+	if gets, puts := pool.Loans(); gets != 1 || puts != 1 {
+		t.Fatalf("pool loans after one open: gets=%d puts=%d, want 1/1", gets, puts)
+	}
+}
+
+// TestOpenFrameErrorTakesNoLoan covers the error paths the receive loops
+// skip without a repayment: a frame too short for its message and a frame
+// whose header checksum fails must both return before borrowing a buffer.
+func TestOpenFrameErrorTakesNoLoan(t *testing.T) {
+	frame, err := wire.MarshalAppend(nil, &wire.Message{
+		Header:  wire.Header{Kind: wire.KindRequest, RPCID: 9},
+		Payload: bytes.Repeat([]byte("x"), 200),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := append([]byte(nil), frame...)
+	wire.FlipCoveredBit(corrupt, 100) // a bit of the RPC ID
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"short", frame[:len(frame)-wire.CacheLineSize], wire.ErrShortBuffer},
+		{"bad checksum", corrupt, wire.ErrBadChecksum},
+	} {
+		pool := ownershipPool()
+		m, err := wire.OpenFrame(c.frame, pool)
+		if !errors.Is(err, c.want) || m.Payload != nil {
+			t.Fatalf("%s: OpenFrame err=%v payload=%d B, want %v and no payload", c.name, err, len(m.Payload), c.want)
+		}
+		if gets, puts := pool.Loans(); gets != 0 || puts != 0 {
+			t.Fatalf("%s: error path took a loan: gets=%d puts=%d", c.name, gets, puts)
+		}
 	}
 }
 

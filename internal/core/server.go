@@ -256,25 +256,20 @@ func (s *RpcThreadedServer) Stop() {
 func (s *RpcThreadedServer) dispatchLoop(t *RpcServerThread) {
 	defer s.wg.Done()
 	pool := t.flow.Buffers()
-	ras := wire.NewReassemblerPool(pool)
 	for {
 		frame, ok := t.flow.Recv(s.stop)
 		if !ok {
 			return
 		}
-		m, ok, err := reassemble(ras, pool, t.flowID, frame)
+		m, err := wire.OpenFrame(frame, pool)
 		pool.Put(frame)
-		if err != nil || !ok {
-			// No completed message; m is zero and Put(nil) is loan-neutral,
-			// so repaying unconditionally keeps the ownership contract
-			// uniform on every continue path.
+		if err != nil {
 			if errors.Is(err, wire.ErrBadChecksum) && s.tracer != nil {
 				// A corrupted request never produces a trace (it is
 				// unattributable); count the drop so a corrupted-traffic
 				// profile is never mistaken for a clean one.
 				s.tracer.NoteCorruptDrop()
 			}
-			pool.Put(m.Payload)
 			continue
 		}
 		if m.Kind != wire.KindRequest {
@@ -383,7 +378,7 @@ func (s *RpcThreadedServer) process(t *RpcServerThread, m wire.Message, received
 	// Best-effort: a full client ring drops the response, mirroring the
 	// paper's lossy transport.
 	_ = s.nic.Send(&resp)
-	// The request payload (from the flow pool via the reassembler) is done:
+	// The request payload (from the flow pool via OpenFrame) is done:
 	// Send has marshalled the response, so recycling is safe even when the
 	// handler echoed the request buffer back as the response.
 	t.flow.Buffers().Put(m.Payload)

@@ -21,15 +21,15 @@
 //     pool and hands ownership to the ring. The *wire.Message passed to Send
 //     is only read during the call; callers keep ownership of m.Payload.
 //   - The ring consumer (RpcClient recv loop or server dispatch thread) owns
-//     each frame it pops and must return it via Flow.Buffers().Put once the
-//     reassembler has consumed it.
+//     each frame it pops and must return it via Flow.Buffers().Put once
+//     wire.OpenFrame has opened it.
 //   - Fabric.Inject takes ownership of its frame argument on every path,
 //     including errors: the buffer is either delivered to a ring or returned
 //     to a pool. Callers must not touch the frame after Inject returns.
 //   - A Gateway borrows the frame only for the duration of the call and must
 //     not retain it after returning; implementations that queue or retransmit
 //     (UDP, Reliable) copy it first.
-//   - Buffers handed to consumers by a pooled reassembler (Message.Payload)
+//   - Payload buffers wire.OpenFrame hands to consumers (Message.Payload)
 //     are owned by the consumer, which repays the loan with a Put on the same
 //     pool hierarchy when done.
 package fabric
@@ -146,8 +146,7 @@ func newFlow(depth int, parent *ringbuf.BufPool) *Flow {
 }
 
 // Buffers returns the flow's frame buffer pool. Ring consumers return frames
-// here after the reassembler consumes them, and recycle reassembled payloads
-// here when done.
+// here once they are opened, and recycle opened payloads here when done.
 func (f *Flow) Buffers() *ringbuf.BufPool { return f.pool }
 
 func (f *Flow) deliver(frame []byte, isResponse bool) bool {

@@ -102,6 +102,72 @@ func FuzzReassembler(f *testing.F) {
 	})
 }
 
+// FuzzOpenFrame checks the whole-frame open against the line-at-a-time
+// reassembler: no panics; an accepted frame holds all of its message's
+// lines and its payload is the bytes after the header; the reassembler,
+// fed the frame's lines, completes a message exactly when OpenFrame accepts
+// the frame, with the same header and payload; and no path leaves a pool
+// loan outstanding.
+func FuzzOpenFrame(f *testing.F) {
+	frame := func(n int) []byte {
+		b, _ := MarshalAppend(nil, &Message{
+			Header:  Header{Kind: KindResponse, ConnID: 9, RPCID: 3, FlowID: 2, Budget: 100},
+			Payload: bytes.Repeat([]byte{0xA5}, n),
+		})
+		return b
+	}
+	one, two, big := frame(FirstLinePayload), frame(CacheLineSize), frame(4096)
+	f.Add(one) // 1 line
+	f.Add(two) // 2 lines
+	f.Add(big) // 65 lines
+	badSum := append([]byte(nil), two...)
+	badSum[checksumOffset] ^= 0x5A
+	f.Add(badSum)
+	f.Add(big[:len(big)-CacheLineSize]) // truncated by one line
+	f.Add(append(append([]byte(nil), one...), make([]byte, CacheLineSize)...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pool := &countingPool{}
+		m, err := OpenFrame(data, pool)
+		if err != nil {
+			if m.Payload != nil || pool.gets != 0 {
+				t.Fatalf("error %v took a loan: payload %d bytes, %d gets", err, len(m.Payload), pool.gets)
+			}
+		} else {
+			if LinesFor(int(m.Len))*CacheLineSize > len(data) {
+				t.Fatalf("accepted %d B frame too short for a %d B payload", len(data), m.Len)
+			}
+			if !bytes.Equal(m.Payload, data[HeaderSize:HeaderSize+int(m.Len)]) {
+				t.Fatal("payload is not the bytes after the header")
+			}
+		}
+
+		r := NewReassembler()
+		var (
+			want Message
+			done bool
+		)
+		for off := 0; !done && off+CacheLineSize <= len(data); off += CacheLineSize {
+			var lerr error
+			want, done, lerr = r.AddLine(0, data[off:off+CacheLineSize])
+			if lerr != nil {
+				break
+			}
+		}
+		if done != (err == nil) {
+			t.Fatalf("reassembler completed=%v, OpenFrame err=%v", done, err)
+		}
+		if done && (want.Header != m.Header || !bytes.Equal(want.Payload, m.Payload)) {
+			t.Fatalf("OpenFrame %+v differs from reassembler %+v", m.Header, want.Header)
+		}
+
+		pool.Put(m.Payload)
+		if pool.gets != pool.puts {
+			t.Fatalf("pool loans unbalanced: gets=%d puts=%d", pool.gets, pool.puts)
+		}
+	})
+}
+
 // FuzzDecoder drives the field decoder with arbitrary payloads: it must be
 // panic-free and terminate.
 func FuzzDecoder(f *testing.F) {

@@ -1,8 +1,9 @@
 package wire
 
-// BufferPool supplies and recycles payload buffers for the reassembler. It is
-// satisfied by *ringbuf.BufPool; defining the interface here keeps wire free
-// of dependencies while letting the data path plug in its free lists.
+// BufferPool supplies and recycles payload buffers for OpenFrame and the
+// reassembler. It is satisfied by *ringbuf.BufPool; defining the interface
+// here keeps wire free of dependencies while letting the data path plug in
+// its free lists.
 type BufferPool interface {
 	// Get returns a buffer of length n with capacity at least n and
 	// undefined contents.

@@ -6,6 +6,7 @@ import (
 )
 
 // countingPool is a BufferPool that tracks loans for the ownership tests.
+// Like ringbuf.BufPool, Put of a nil or zero-capacity buffer repays nothing.
 type countingPool struct {
 	gets, puts int
 	last       []byte
@@ -17,7 +18,11 @@ func (p *countingPool) Get(n int) []byte {
 	return p.last
 }
 
-func (p *countingPool) Put(b []byte) { p.puts++ }
+func (p *countingPool) Put(b []byte) {
+	if cap(b) > 0 {
+		p.puts++
+	}
+}
 
 func marshalFrame(t *testing.T, payload []byte) []byte {
 	t.Helper()

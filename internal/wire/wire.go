@@ -1,14 +1,17 @@
 // Package wire defines Dagger's RPC wire format. Following the paper's
 // hardware design, messages are framed in 64-byte cache-line units: the
 // header occupies the front of the first line and the payload fills the rest,
-// spilling into additional lines for RPCs larger than one line (which the
-// paper reassembles in software, §4.7).
+// spilling into additional lines for RPCs larger than one line. The paper
+// reassembles those lines in software (§4.7) because its interconnect moves
+// one line at a time; here every ring entry is a whole frame, which
+// OpenFrame decodes in one pass.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // CacheLineSize is the transfer MTU of the memory interconnect: one CPU
@@ -153,7 +156,9 @@ var (
 )
 
 // MarshalAppend encodes m onto dst, padding to a whole number of cache
-// lines, and returns the extended slice.
+// lines, and returns the extended slice. dst grows at most once; its spare
+// capacity may hold stale bytes (pooled buffers arrive dirty), so every byte
+// of the frame that is not header or payload is written as zero.
 func MarshalAppend(dst []byte, m *Message) ([]byte, error) {
 	if len(m.Payload) > MaxPayload {
 		return dst, ErrTooLarge
@@ -163,10 +168,10 @@ func MarshalAppend(dst []byte, m *Message) ([]byte, error) {
 	}
 	total := LinesFor(len(m.Payload)) * CacheLineSize
 	off := len(dst)
-	for i := 0; i < total; i++ {
-		dst = append(dst, 0)
-	}
+	dst = slices.Grow(dst, total)[:off+total]
 	b := dst[off:]
+	n := copy(b[HeaderSize:], m.Payload)
+	clear(b[HeaderSize+n:])
 	binary.LittleEndian.PutUint16(b[0:], Magic)
 	b[2] = byte(m.Kind)
 	b[3] = m.Flags
@@ -179,9 +184,8 @@ func MarshalAppend(dst []byte, m *Message) ([]byte, error) {
 	binary.LittleEndian.PutUint32(b[28:], m.DstAddr)
 	binary.LittleEndian.PutUint32(b[32:], m.Budget)
 	b[occupancyOffset] = m.Occupancy
+	b[38], b[39] = 0, 0 // reserved
 	b[checksumOffset] = headerChecksum(b)
-	// b[38:40] reserved, zero.
-	copy(b[HeaderSize:], m.Payload)
 	return dst, nil
 }
 
@@ -374,4 +378,27 @@ func Unmarshal(buf []byte) (Message, int, error) {
 	}
 	m.Payload = buf[HeaderSize : HeaderSize+int(m.Len)]
 	return m, total, nil
+}
+
+// OpenFrame decodes the message at the front of a delivered frame and copies
+// its payload into one buffer from pool, so the caller may recycle frame as
+// soon as OpenFrame returns. Every ring entry on the functional data path is
+// a whole frame, so opening one is a header parse and a single copy; bytes
+// past the message's last line are ignored. On success the caller owns
+// Payload and repays it to pool (an empty payload is nil and borrows
+// nothing). On error the message is zero and no loan was taken.
+//
+// dagger:yields-ownership Payload
+func OpenFrame(frame []byte, pool BufferPool) (Message, error) {
+	m, _, err := Unmarshal(frame)
+	if err != nil {
+		return Message{}, err
+	}
+	body := m.Payload
+	m.Payload = nil
+	if len(body) > 0 {
+		m.Payload = pool.Get(len(body))
+		copy(m.Payload, body)
+	}
+	return m, nil
 }

@@ -450,6 +450,36 @@ func TestMarshalAppendStacks(t *testing.T) {
 	}
 }
 
+// TestMarshalAppendDirtyBuffer pins the single-shot marshal against pooled
+// buffers, which arrive with stale contents: the reserved header bytes and
+// the tail padding must come out zero whatever the spare capacity held, and
+// marshalling into enough capacity must not allocate.
+func TestMarshalAppendDirtyBuffer(t *testing.T) {
+	for _, n := range []int{0, FirstLinePayload, FirstLinePayload + 1, 64, 4096} {
+		m := sampleMessage(n)
+		want, err := MarshalAppend(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte{0xFF}, len(want))
+		got, err := MarshalAppend(dirty[:0], m)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("len %d: marshal into a dirty buffer differs from a clean one (err %v)", n, err)
+		}
+		prefix := []byte("prefix")
+		dst := append(bytes.Repeat([]byte{0xFF}, len(prefix)+len(want)+CacheLineSize)[:0], prefix...)
+		got, err = MarshalAppend(dst, m)
+		if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("len %d: marshal onto a non-empty dst differs (err %v)", n, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			_, _ = MarshalAppend(dirty[:0], m)
+		}); allocs != 0 {
+			t.Fatalf("len %d: marshal with enough capacity allocates %.1f times", n, allocs)
+		}
+	}
+}
+
 // Property: round-trip preserves header and payload for arbitrary content.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(payload []byte, connID uint32, rpcID uint64, flowID, fnID uint16, budget uint32, flags, occ uint8) bool {
