@@ -28,6 +28,10 @@ var unstable = []struct {
 	{regexp.MustCompile(`^(---- \S+ done in )\S+( ----)$`), "${1}…${2}"},
 	// chaos: the dead peer's fail-fast time. ROADMAP step 2b removes this.
 	{regexp.MustCompile(`^(    dead peer: failed fast in )\S+( with .*)$`), "${1}…${2}"},
+	// chaos: the lossy link's retransmit count. Loss is drawn from one shared
+	// RNG in datagram order, and acks ride on traffic and ticks, so that order
+	// follows the wall clock. ROADMAP step 2b removes this.
+	{regexp.MustCompile(`^(    lossy transport: 30/30 calls ok over 1\.0% datagram loss \()\d+( retransmits\))$`), "${1}…${2}"},
 	// congestion: the functional closed loop's tallies and percentiles.
 	// ROADMAP step 2b removes this.
 	{regexp.MustCompile(`^(    completed=).*$`), "${1}…"},

@@ -2,8 +2,12 @@
 // implements the Transport layer of Figure 6 — a UDP/IP datagram path
 // between NICs — plus the Protocol unit the paper leaves as future work
 // (§4.5: "we plan to extend Dagger with reliable transports"): sequence
-// numbers, cumulative acknowledgements, retransmission and duplicate
-// suppression layered over the lossy datagram path.
+// numbers, retransmission and duplicate suppression layered over the lossy
+// datagram path, with explicit per-packet acknowledgements that ride as ack
+// lists on reverse data. A standalone ack is sent only for a duplicate, a
+// full list, a packet flagged ack-now (the sender's window is half full, or
+// the packet waited in its queue), or at the retransmission tick, so no ack
+// waits longer than RTO/4.
 //
 // A Bridge attaches to a fabric.Fabric as its gateway: frames addressed to
 // NICs that are not local are forwarded to the peer host owning that

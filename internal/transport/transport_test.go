@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,6 +113,9 @@ type memNet struct {
 	conns map[string]*memConn
 	rng   *rand.Rand
 	loss  float64
+	// drop, when set, also loses every datagram it matches.
+	drop func(pkt []byte) bool
+	sent atomic.Int64 // datagrams handed to Send, lost ones included
 }
 
 func newMemNet(loss float64, seed int64) *memNet {
@@ -137,8 +141,9 @@ func (n *memNet) conn(name string) *memConn {
 func (c *memConn) Send(endpoint string, pkt []byte) error {
 	c.net.mu.Lock()
 	dst := c.net.conns[endpoint]
-	drop := c.net.rng.Float64() < c.net.loss
+	drop := c.net.rng.Float64() < c.net.loss || (c.net.drop != nil && c.net.drop(pkt))
 	c.net.mu.Unlock()
+	c.net.sent.Add(1)
 	if dst == nil {
 		return fmt.Errorf("memnet: no conn %q", endpoint)
 	}

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"maps"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -13,12 +15,21 @@ import (
 const maxDatagram = 20 * 1024
 
 // UDPConn is the production PacketConn: one UDP socket per host.
+//
+// Endpoints are resolved once and cached, and a datagram's sender is reported
+// under the endpoint string this side resolved to its address (so a peer
+// routed as "localhost:P" is heard from as "localhost:P", and its acks match
+// the session Send opened); a sender never resolved here is reported as the
+// canonical host:port of its address.
 type UDPConn struct {
 	conn    *net.UDPConn
 	mu      sync.RWMutex
 	handler func([]byte, string)
 	closed  atomic.Bool
 	wg      sync.WaitGroup
+
+	addrs cowMap[string, netip.AddrPort] // endpoint → address
+	names cowMap[netip.AddrPort, string] // address → endpoint
 
 	Sent     metrics.Counter
 	Received metrics.Counter
@@ -51,7 +62,7 @@ func (u *UDPConn) recvLoop() {
 	defer u.wg.Done()
 	buf := make([]byte, maxDatagram)
 	for {
-		n, from, err := u.conn.ReadFromUDP(buf)
+		n, from, err := u.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -63,9 +74,26 @@ func (u *UDPConn) recvLoop() {
 			// The receive buffer is reused across datagrams; handlers get
 			// a borrowed view per the PacketConn contract and copy if they
 			// retain it.
-			h(buf[:n], from.String())
+			h(buf[:n], u.name(from))
 		}
 	}
+}
+
+// name returns the endpoint string a datagram from ap is reported under.
+func (u *UDPConn) name(ap netip.AddrPort) string {
+	ap = unmap(ap)
+	if s, ok := u.names.load(ap); ok {
+		return s
+	}
+	s := ap.String()
+	u.names.store(ap, s)
+	return s
+}
+
+// unmap strips the IPv4-in-IPv6 form a dual-stack socket reports, so one
+// peer has one address whichever way it was learned.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // Send transmits one datagram to endpoint (host:port).
@@ -73,11 +101,17 @@ func (u *UDPConn) Send(endpoint string, pkt []byte) error {
 	if u.closed.Load() {
 		return ErrBridgeClose
 	}
-	ua, err := net.ResolveUDPAddr("udp", endpoint)
-	if err != nil {
-		return err
+	ap, ok := u.addrs.load(endpoint)
+	if !ok {
+		ua, err := net.ResolveUDPAddr("udp", endpoint)
+		if err != nil {
+			return err
+		}
+		ap = unmap(ua.AddrPort())
+		u.names.store(ap, endpoint)
+		u.addrs.store(endpoint, ap)
 	}
-	if _, err := u.conn.WriteToUDP(pkt, ua); err != nil {
+	if _, err := u.conn.WriteToUDPAddrPort(pkt, ap); err != nil {
 		return err
 	}
 	u.Sent.Add(1)
@@ -102,4 +136,41 @@ func (u *UDPConn) Close() error {
 	err := u.conn.Close()
 	u.wg.Wait()
 	return err
+}
+
+// maxCached bounds each endpoint cache, so a flood of distinct source
+// addresses cannot grow it without limit; past it, lookups miss and the
+// caller recomputes.
+const maxCached = 1024
+
+// cowMap is a copy-on-write map: a read is one atomic load and a map lookup,
+// with no lock and no allocation; a write copies the map under mu. It suits
+// caches read per datagram and written once per peer.
+type cowMap[K comparable, V any] struct {
+	mu sync.Mutex
+	m  atomic.Pointer[map[K]V]
+}
+
+func (c *cowMap[K, V]) load(k K) (v V, ok bool) {
+	if m := c.m.Load(); m != nil {
+		v, ok = (*m)[k]
+	}
+	return v, ok
+}
+
+// store adds or replaces k's entry, unless the map is full.
+func (c *cowMap[K, V]) store(k K, v V) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var next map[K]V
+	if m := c.m.Load(); m != nil {
+		if _, ok := (*m)[k]; !ok && len(*m) >= maxCached {
+			return
+		}
+		next = maps.Clone(*m)
+	} else {
+		next = make(map[K]V, 1)
+	}
+	next[k] = v
+	c.m.Store(&next)
 }
