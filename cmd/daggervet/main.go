@@ -2,12 +2,16 @@
 // the repository (see internal/analysis for what each enforces and why):
 //
 //	simdeterminism  no wall clock / global rand / map-order dependence in sim code
-//	locksafety      no copied locks, no blocking or returning with a mutex held
+//	locksafety      no blocking or returning with a mutex held
 //	hotpathalloc    no avoidable allocation on the RPC data path
 //	errchecklite    no silently dropped errors on Conn/transport/ring operations
 //	bufownership    pooled buffers are released or handed off on every path
 //	budgetflow      deadline-budget contexts propagate to downstream RPC calls
-//	shedcheck       shed verdicts are consulted before dispatching the request
+//
+// Two project rules live in stock go vet instead: copied locks (copylocks)
+// and discarded shed/congestion verdicts (unusedresult, with the dataplane
+// and core verdict functions added to -unusedresult.funcs; see the README
+// "Development" section for the exact command).
 //
 // Usage:
 //
@@ -46,16 +50,6 @@ import (
 
 	"dagger/internal/analysis"
 )
-
-var analyzers = []*analysis.Analyzer{
-	analysis.SimDeterminism,
-	analysis.LockSafety,
-	analysis.HotPathAlloc,
-	analysis.ErrCheckLite,
-	analysis.BufOwnership,
-	analysis.BudgetFlow,
-	analysis.ShedCheck,
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -105,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var diags []analysis.Diagnostic
 	collect := func(pkg *analysis.Package) error {
-		ds, err := analysis.Run(pkg, analyzers)
+		ds, err := analysis.Run(pkg, analysis.All)
 		if err != nil {
 			return err
 		}

@@ -10,20 +10,20 @@ import (
 
 // TestJSONGolden pins the -json output format, the diagnostic ordering
 // (sorted by file, line, column, analyzer, message), and the exit code for a
-// dirty package. The fixture is attributed into shedcheck's scope via -as,
-// exactly how out-of-tree code would be vetted.
+// dirty package. The fixture is attributed into errchecklite's scope via
+// -as, exactly how out-of-tree code would be vetted.
 func TestJSONGolden(t *testing.T) {
 	var out, errs bytes.Buffer
-	code := run([]string{"-json", "-as", "dagger/internal/core/fixture", "./internal/analysis/testdata/shedcheck"}, &out, &errs)
+	code := run([]string{"-json", "-as", "dagger/internal/transport/fixture", "./internal/analysis/testdata/errchecklite"}, &out, &errs)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errs.String())
 	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "shedcheck.golden.json"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "errchecklite.golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), golden) {
-		t.Errorf("-json output differs from testdata/shedcheck.golden.json:\n got:\n%s\nwant:\n%s", out.Bytes(), golden)
+		t.Errorf("-json output differs from testdata/errchecklite.golden.json:\n got:\n%s\nwant:\n%s", out.Bytes(), golden)
 	}
 }
 
@@ -45,16 +45,16 @@ func TestJSONCleanPackage(t *testing.T) {
 // findings, one per line, with the analyzer name trailing.
 func TestTextOutput(t *testing.T) {
 	var out, errs bytes.Buffer
-	code := run([]string{"-as", "dagger/internal/core/fixture", "./internal/analysis/testdata/shedcheck"}, &out, &errs)
+	code := run([]string{"-as", "dagger/internal/transport/fixture", "./internal/analysis/testdata/errchecklite"}, &out, &errs)
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errs.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d diagnostics, want 4:\n%s", len(lines), out.String())
+	if len(lines) != 3 {
+		t.Fatalf("got %d diagnostics, want 3:\n%s", len(lines), out.String())
 	}
 	for _, line := range lines {
-		if !strings.HasSuffix(line, "(shedcheck)") {
+		if !strings.HasSuffix(line, "(errchecklite)") {
 			t.Errorf("diagnostic missing analyzer suffix: %q", line)
 		}
 	}

@@ -17,13 +17,17 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// Tests opts the analyzer into _test.go files: when false, diagnostics
-	// the analyzer reports in test files are discarded (test code may copy
-	// locks into tables, allocate on hot paths, and drop errors at will; it
-	// may NOT be nondeterministic in simulation packages).
+	// the analyzer reports in test files are discarded (test code may block
+	// under a lock, allocate on hot paths, and drop errors at will; it may
+	// NOT be nondeterministic in simulation packages).
 	Tests bool
 	// Run applies the analyzer to one package.
 	Run func(*Pass) error
 }
+
+// All is the analyzer set cmd/daggervet runs and TestRepoClean holds the
+// tree to.
+var All = []*Analyzer{SimDeterminism, LockSafety, HotPathAlloc, ErrCheckLite, BufOwnership, BudgetFlow}
 
 // A Diagnostic is one reported finding.
 type Diagnostic struct {
@@ -279,44 +283,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// containsLock reports whether t directly or transitively contains a
-// sync.Mutex, sync.RWMutex, sync.WaitGroup, sync.Cond or sync.Once by
-// value, meaning values of t must not be copied.
-func containsLock(t types.Type) bool {
-	seen := make(map[types.Type]bool)
-	var walk func(types.Type) bool
-	walk = func(t types.Type) bool {
-		if t == nil || seen[t] {
-			return false
-		}
-		seen[t] = true
-		for _, n := range []string{"Mutex", "RWMutex", "WaitGroup", "Cond", "Once"} {
-			if isNamedType(t, "sync", n) {
-				// Pointers to locks are fine; isNamedType dereferences, so
-				// re-check that t itself is not a pointer.
-				if _, isPtr := t.(*types.Pointer); !isPtr {
-					return true
-				}
-			}
-		}
-		switch u := t.Underlying().(type) {
-		case *types.Struct:
-			for i := 0; i < u.NumFields(); i++ {
-				if walk(u.Field(i).Type()) {
-					return true
-				}
-			}
-		case *types.Array:
-			return walk(u.Elem())
-		}
-		if named, ok := t.(*types.Named); ok {
-			return walk(named.Underlying())
-		}
-		return false
-	}
-	return walk(t)
 }
 
 // funcName returns the name of the enclosing function declaration, or "".

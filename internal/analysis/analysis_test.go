@@ -128,22 +128,11 @@ func TestBudgetFlowFixture(t *testing.T) {
 	RunFixture(t, BudgetFlow, filepath.Join("testdata", "budgetflow"), "dagger/internal/core/fixture")
 }
 
-func TestShedCheckFixture(t *testing.T) {
-	RunFixture(t, ShedCheck, filepath.Join("testdata", "shedcheck"), "dagger/internal/core/fixture")
-}
-
-// TestCongestionCheckFixture pins the congestion half of shedcheck: a
-// dataplane Mark verdict is subject to the same consult-before-dispatch
-// contract as shed verdicts, with congestion-specific wording.
-func TestCongestionCheckFixture(t *testing.T) {
-	RunFixture(t, ShedCheck, filepath.Join("testdata", "congestioncheck"), "dagger/internal/dataplane/fixture")
-}
-
 // TestIgnoreFixture pins the // dagger:ignore contract: suppression on the
 // directive's own line and the line below, mandatory reasons, and stale or
 // malformed directives surfacing as diagnostics of their own.
 func TestIgnoreFixture(t *testing.T) {
-	RunFixture(t, ShedCheck, filepath.Join("testdata", "ignore"), "dagger/internal/core/fixture")
+	RunFixture(t, ErrCheckLite, filepath.Join("testdata", "ignore"), "dagger/internal/core/fixture")
 }
 
 // TestAnalyzersScopedOut proves the analyzers stay silent on packages
@@ -164,8 +153,6 @@ func TestAnalyzersScopedOut(t *testing.T) {
 		{ErrCheckLite, "errchecklite"},
 		{BufOwnership, "bufownership"},
 		{BudgetFlow, "budgetflow"},
-		{ShedCheck, "shedcheck"},
-		{ShedCheck, "congestioncheck"},
 	}
 	loader, err := sharedLoader()
 	if err != nil {
@@ -234,7 +221,6 @@ func TestRepoClean(t *testing.T) {
 		"../../examples/flight", "../../examples/socialnet",
 		"../../examples/multitenant",
 	}
-	all := []*Analyzer{SimDeterminism, LockSafety, HotPathAlloc, ErrCheckLite, BufOwnership, BudgetFlow, ShedCheck}
 	for _, dir := range dirs {
 		pkgs := []*Package{}
 		pkg, err := loader.Load(dir, "")
@@ -250,7 +236,7 @@ func TestRepoClean(t *testing.T) {
 			pkgs = append(pkgs, xpkg)
 		}
 		for _, p := range pkgs {
-			diags, err := Run(p, all)
+			diags, err := Run(p, All)
 			if err != nil {
 				t.Fatal(err)
 			}

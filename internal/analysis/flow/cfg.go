@@ -1,7 +1,7 @@
 // Package flow is a small, stdlib-only control-flow and dataflow engine for
 // Go function bodies: CFG construction over go/ast plus a forward worklist
 // solver with a pluggable lattice (dataflow.go). It exists so daggervet's
-// flow-sensitive analyzers — bufownership, budgetflow, shedcheck — can reason
+// flow-sensitive analyzers — bufownership and budgetflow — can reason
 // about branches, loops, and early returns instead of pattern-matching
 // statements, the way go/analysis-based ownership and lock-discipline
 // verifiers do, while staying free of module downloads.

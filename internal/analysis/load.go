@@ -11,13 +11,22 @@
 //     packages above it) must stay bit-for-bit reproducible, so wall-clock
 //     time and the global math/rand source are forbidden there.
 //   - locksafety: the functional RPC stack (internal/core,
-//     internal/transport, internal/fabric) must stay race-free: no copied
-//     locks, no blocking while holding a mutex, no return with a mutex held.
+//     internal/transport, internal/fabric) must stay race-free: no blocking
+//     while holding a mutex, no return with a mutex held.
 //   - hotpathalloc: the data path (internal/ringbuf, internal/wire,
 //     internal/transport, the client send/receive path) must stay
 //     allocation-lean.
 //   - errchecklite: errors from Conn/transport/ring operations must not be
 //     silently dropped.
+//   - bufownership: pooled buffers are released or handed off on every
+//     path (flow-sensitive, over the internal/analysis/flow CFG).
+//   - budgetflow: a deadline-budget context is threaded downstream, not
+//     replaced by a fresh root context.
+//
+// All lists them. Rules stock go vet already implements are not repeated
+// here: copied locks are vet's copylocks, and a discarded shed or
+// congestion verdict is vet's unusedresult once the verdict functions are
+// named in -unusedresult.funcs.
 package analysis
 
 import (

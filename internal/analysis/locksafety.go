@@ -3,25 +3,18 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // LockSafety enforces the concurrency discipline of the functional RPC
-// stack. It flags (1) lock values copied by value (parameters, results,
-// assignments, range variables), (2) mutexes held across blocking
-// operations — channel sends/receives, blocking selects, sync.WaitGroup/
-// sync.Cond waits, time.Sleep — and (3) return paths on which a locked
-// mutex is provably still held (the missing-defer-unlock bug class).
-// It also machine-checks `// dagger:requires-lock <field>` annotations:
-// helpers documented as "caller holds <recv>.<field>" (e.g.
-// Reliable.session) must only be called where the simulation can prove
-// that mutex is held.
+// stack. It flags (1) mutexes held across blocking operations — channel
+// sends/receives, blocking selects, sync.WaitGroup/sync.Cond waits,
+// time.Sleep — and (2) return paths on which a locked mutex is provably
+// still held (the missing-defer-unlock bug class). Copied locks are left to
+// go vet's copylocks check, which CI runs.
 var LockSafety = &Analyzer{
 	Name: "locksafety",
-	Doc: "flag copied locks, mutexes held across blocking operations, " +
-		"return paths that leak a held mutex, and calls into " +
-		"dagger:requires-lock helpers without the required mutex",
-	Run: runLockSafety,
+	Doc:  "flag mutexes held across blocking operations and return paths that leak a held mutex",
+	Run:  runLockSafety,
 }
 
 // lockScopes are the packages forming the concurrent data path, plus the
@@ -37,166 +30,24 @@ func runLockSafety(pass *Pass) error {
 	if !pathIn(pass.Path, lockScopes...) {
 		return nil
 	}
-	requires := collectRequiresLock(pass)
+	ls := &lockSim{pass: pass}
 	for _, f := range pass.Files {
-		checkCopiedLocks(pass, f)
 		// Check every function body — declarations and literals — with a
 		// fresh lock state; a goroutine or deferred closure does not hold
-		// the locks of its creator. Annotated helpers start with the
-		// caller's mutex modeled as held.
+		// the locks of its creator.
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					ls := &lockSim{pass: pass, requires: requires}
-					ls.scanBlock(n.Body.List, seededState(pass, requires, n))
+					ls.scanBlock(n.Body.List, make(lockState))
 				}
 			case *ast.FuncLit:
-				ls := &lockSim{pass: pass, requires: requires}
 				ls.scanBlock(n.Body.List, make(lockState))
 			}
 			return true
 		})
 	}
 	return nil
-}
-
-// requiresLockPrefix introduces a lock-precondition annotation in a
-// function's doc comment:
-//
-//	// dagger:requires-lock mu
-//	func (r *Reliable) session(ep string) *txSession { ... }
-//
-// declares that callers of r.session must hold r.mu at the call site.
-const requiresLockPrefix = "dagger:requires-lock"
-
-// collectRequiresLock maps every annotated function in the package to the
-// mutex field its callers must hold. Malformed annotations (no field name)
-// are reported rather than silently ignored.
-func collectRequiresLock(pass *Pass) map[*types.Func]string {
-	out := make(map[*types.Func]string)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				rest, ok := strings.CutPrefix(text, requiresLockPrefix)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				fields := strings.Fields(rest)
-				if len(fields) == 0 {
-					pass.Reportf(fd.Name.Pos(),
-						"dagger:requires-lock annotation missing the mutex field name")
-					continue
-				}
-				if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-					out[fn] = fields[0]
-				}
-			}
-		}
-	}
-	return out
-}
-
-// seededState returns the initial lock state for fd's body: empty, unless
-// fd carries a dagger:requires-lock annotation, in which case the caller's
-// mutex is modeled as held — with a pending deferred unlock, since
-// releasing it is the caller's job, not a leak in the helper.
-func seededState(pass *Pass, requires map[*types.Func]string, fd *ast.FuncDecl) lockState {
-	st := make(lockState)
-	fn, _ := pass.Info.Defs[fd.Name].(*types.Func)
-	if fn == nil {
-		return st
-	}
-	field, ok := requires[fn]
-	if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
-		return st
-	}
-	st[fd.Recv.List[0].Names[0].Name+"."+field] = &mutexState{depth: 1, deferred: true}
-	return st
-}
-
-// checkCopiedLocks flags by-value traffic in lock-containing types.
-func checkCopiedLocks(pass *Pass, f *ast.File) {
-	checkFieldList := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pass.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(t) {
-				pass.Reportf(field.Type.Pos(),
-					"%s passes lock by value: %s contains a sync primitive; use a pointer", what, t)
-			}
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncDecl:
-			checkFieldList(n.Recv, "receiver")
-			checkFieldList(n.Type.Params, "parameter")
-			checkFieldList(n.Type.Results, "result")
-		case *ast.FuncLit:
-			checkFieldList(n.Type.Params, "parameter")
-			checkFieldList(n.Type.Results, "result")
-		case *ast.AssignStmt:
-			for i, rhs := range n.Rhs {
-				if len(n.Rhs) != len(n.Lhs) {
-					break
-				}
-				// Assignment to blank compiles to a no-op; no copy happens.
-				if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-					continue
-				}
-				// Copying an existing lock-containing value (variable,
-				// field, or dereference). Fresh composite literals and
-				// function calls are legitimate initialization.
-				switch ast.Unparen(rhs).(type) {
-				case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-				default:
-					continue
-				}
-				t := pass.TypeOf(rhs)
-				if t == nil {
-					continue
-				}
-				if _, isPtr := t.(*types.Pointer); isPtr {
-					continue
-				}
-				if containsLock(t) {
-					pass.Reportf(n.Rhs[i].Pos(),
-						"assignment copies lock value: %s contains a sync primitive", t)
-				}
-			}
-		case *ast.RangeStmt:
-			if n.Value == nil {
-				return true
-			}
-			t := pass.TypeOf(n.Value)
-			if t == nil {
-				return true
-			}
-			if _, isPtr := t.(*types.Pointer); isPtr {
-				return true
-			}
-			if containsLock(t) {
-				pass.Reportf(n.Value.Pos(),
-					"range value copies lock value: %s contains a sync primitive; range over indices or pointers", t)
-			}
-		}
-		return true
-	})
-	_ = f
 }
 
 // lockState tracks, per canonical mutex expression (e.g. "c.mu"), how many
@@ -236,9 +87,6 @@ func (s lockState) anyHeld() string {
 // common lock/early-return/unlock shapes.
 type lockSim struct {
 	pass *Pass
-	// requires maps annotated helpers to the mutex field their callers
-	// must hold (see requiresLockPrefix).
-	requires map[*types.Func]string
 }
 
 // scanBlock scans stmts under state st, returning the resulting state and
@@ -271,7 +119,7 @@ func (ls *lockSim) scanStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 			}
 			return st, false
 		}
-		ls.checkExpr(s.X, st)
+		ls.checkBlocking(s.X, st)
 	case *ast.DeferStmt:
 		if name, locking, _ := mutexOp(ls.pass, s.Call); name != "" && !locking {
 			ms := st[name]
@@ -285,7 +133,7 @@ func (ls *lockSim) scanStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 		// separately if it is a FuncLit.
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
-			ls.checkExpr(e, st)
+			ls.checkBlocking(e, st)
 		}
 		for name, ms := range st {
 			if ms.depth > 0 && !ms.deferred {
@@ -303,13 +151,11 @@ func (ls *lockSim) scanStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 			ls.pass.Reportf(stmt.Pos(),
 				"channel send while holding %s; a full channel blocks with the mutex held", held)
 		}
-		ls.checkRequiresLock(s.Chan, st)
-		ls.checkRequiresLock(s.Value, st)
 	case *ast.IfStmt:
 		if s.Init != nil {
 			st, _ = ls.scanStmt(s.Init, st)
 		}
-		ls.checkExpr(s.Cond, st)
+		ls.checkBlocking(s.Cond, st)
 		thenSt, thenTerm := ls.scanBlock(s.Body.List, st.clone())
 		var elseTerm bool
 		elseSt := st
@@ -333,17 +179,17 @@ func (ls *lockSim) scanStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 			st, _ = ls.scanStmt(s.Init, st)
 		}
 		if s.Cond != nil {
-			ls.checkExpr(s.Cond, st)
+			ls.checkBlocking(s.Cond, st)
 		}
 		ls.scanBlock(s.Body.List, st.clone())
 	case *ast.RangeStmt:
-		ls.checkExpr(s.X, st)
+		ls.checkBlocking(s.X, st)
 		ls.scanBlock(s.Body.List, st.clone())
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			st, _ = ls.scanStmt(s.Init, st)
 		}
-		ls.checkExpr(s.Tag, st)
+		ls.checkBlocking(s.Tag, st)
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CaseClause); ok {
 				ls.scanBlock(cc.Body, st.clone())
@@ -375,7 +221,7 @@ func (ls *lockSim) scanStmt(stmt ast.Stmt, st lockState) (lockState, bool) {
 		}
 	case *ast.AssignStmt:
 		for _, e := range s.Rhs {
-			ls.checkExpr(e, st)
+			ls.checkBlocking(e, st)
 		}
 	case *ast.DeclStmt:
 		// no lock effects
@@ -413,51 +259,6 @@ func mergeStates(a, b lockState) lockState {
 		}
 	}
 	return out
-}
-
-// checkExpr applies the expression-level checks under lock state st:
-// blocking operations while a mutex is held, and calls into
-// dagger:requires-lock helpers without the required mutex.
-func (ls *lockSim) checkExpr(e ast.Expr, st lockState) {
-	ls.checkBlocking(e, st)
-	ls.checkRequiresLock(e, st)
-}
-
-// checkRequiresLock reports calls to annotated helpers whose required
-// mutex is not provably held at the call site. The receiver expression is
-// canonicalized textually — `o.c.locked(k)` annotated with field `mu`
-// requires `o.c.mu` held — matching the lockSim's own canonical names.
-// Deferred and go'ed calls run under a different lock regime and are not
-// checked; calls through method values lose the receiver and stay silent.
-func (ls *lockSim) checkRequiresLock(e ast.Expr, st lockState) {
-	if e == nil || len(ls.requires) == 0 {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // runs later / elsewhere
-		case *ast.CallExpr:
-			fn := calleeFunc(ls.pass.Info, n)
-			if fn == nil {
-				return true
-			}
-			field, ok := ls.requires[fn]
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			want := types.ExprString(sel.X) + "." + field
-			if ms := st[want]; ms == nil || ms.depth == 0 {
-				ls.pass.Reportf(n.Pos(),
-					"call to %s requires holding %s (dagger:requires-lock)", fn.Name(), want)
-			}
-		}
-		return true
-	})
 }
 
 // checkBlocking reports blocking operations inside expression e while a
