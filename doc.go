@@ -17,6 +17,5 @@
 //     internal/experiments and cmd/daggerbench.
 //
 // See DESIGN.md for the system inventory and the per-experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The root bench_test.go
-// exposes each experiment as a testing.B benchmark.
+// EXPERIMENTS.md for paper-vs-measured results.
 package dagger

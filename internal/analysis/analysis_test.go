@@ -187,8 +187,8 @@ func TestLoaderRealPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loader.ModulePath() != "dagger" {
-		t.Fatalf("module path = %q, want dagger", loader.ModulePath())
+	if loader.modulePath != "dagger" {
+		t.Fatalf("module path = %q, want dagger", loader.modulePath)
 	}
 	for _, dir := range []string{"../sim", "../transport", "../ringbuf"} {
 		pkg, err := loader.Load(dir, "")

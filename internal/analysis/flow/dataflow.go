@@ -99,11 +99,3 @@ func (r *Result[F]) Visit(visit func(n ast.Node, before F)) {
 		}
 	}
 }
-
-// ExitFact returns the fact holding at the start of the Exit block and
-// whether any path reaches it (a function whose every path panics or blocks
-// forever has no exit fact).
-func (r *Result[F]) ExitFact() (F, bool) {
-	f, ok := r.In[r.g.Exit]
-	return f, ok
-}

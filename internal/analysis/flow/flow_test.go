@@ -406,7 +406,7 @@ func TestLatticeConvergesOnLoops(t *testing.T) {
 	if !r.Converged {
 		t.Fatalf("worklist failed to converge on a monotone lattice")
 	}
-	exit, ok := r.ExitFact()
+	exit, ok := r.In[g.Exit]
 	if !ok {
 		t.Fatalf("exit unreachable")
 	}

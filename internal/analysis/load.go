@@ -132,9 +132,6 @@ func NewLoader(dir string) (*Loader, error) {
 // ModuleRoot returns the filesystem root of the loaded module.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
-// ModulePath returns the module's declared import path.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // findModule walks up from dir looking for go.mod and returns the module
 // root directory and module path.
 func findModule(dir string) (root, path string, err error) {

@@ -34,7 +34,7 @@ func TestPublishedMatchesPaperTable3(t *testing.T) {
 // The component decompositions must actually explain the published RTTs.
 func TestDecompositionsSumToPublishedRTT(t *testing.T) {
 	for _, s := range append(Published(), DaggerRow(2.1, 12.4)) {
-		model := s.ModelRTT().Micros()
+		model := float64(s.ModelRTT()) / 1e3
 		if math.Abs(model-s.RTTMicros)/s.RTTMicros > 0.05 {
 			t.Errorf("%s: decomposition RTT %.2fus vs published %.2fus (>5%% off)", s.Name, model, s.RTTMicros)
 		}

@@ -439,13 +439,8 @@ func (c *RpcClient) CallAsyncContext(ctx context.Context, fnID uint16, req []byt
 	return c.CallConnAsyncContext(ctx, conn, fnID, req, cb)
 }
 
-// CallConnAsync issues a non-blocking RPC on a specific connection.
-func (c *RpcClient) CallConnAsync(connID uint32, fnID uint16, req []byte, cb func([]byte, error)) error {
-	return c.CallConnAsyncContext(context.Background(), connID, fnID, req, cb)
-}
-
-// CallConnAsyncContext is CallConnAsync with a context; see CallAsyncContext
-// for the contract.
+// CallConnAsyncContext issues a non-blocking RPC on a specific connection;
+// see CallAsyncContext for the contract.
 func (c *RpcClient) CallConnAsyncContext(ctx context.Context, connID uint32, fnID uint16, req []byte, cb func([]byte, error)) error {
 	budget, err := c.budgetFrom(ctx)
 	if err != nil {

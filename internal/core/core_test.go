@@ -433,7 +433,8 @@ func TestServerTracing(t *testing.T) {
 	// The server records each span after sending its response, so the last
 	// spans may land after the final call has returned.
 	spans := func() (n int) {
-		for _, tr := range tc.Traces() {
+		traces, _ := tc.Snapshot()
+		for _, tr := range traces {
 			n += len(tr.Spans)
 		}
 		return n

@@ -192,13 +192,6 @@ func (s *RpcThreadedServer) SetTracer(c *trace.Collector) error {
 	return nil
 }
 
-// FunctionName returns the registered name for a function id.
-func (s *RpcThreadedServer) FunctionName(fnID uint16) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.names[fnID]
-}
-
 // Threads returns the server's dispatch threads.
 func (s *RpcThreadedServer) Threads() []*RpcServerThread { return s.threads }
 

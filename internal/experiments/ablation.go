@@ -10,7 +10,6 @@ import (
 
 // RunAblations sweeps the design decisions DESIGN.md §5 calls out — batch
 // width, connection-cache sizing, HCC residency — and prints their effect.
-// The same sweeps run under testing.B in bench_test.go.
 func RunAblations(w io.Writer, quick bool) error {
 	n := reqs(quick, 100_000)
 

@@ -1,7 +1,6 @@
 // Package experiments composes the substrate models into the paper's
 // evaluation: one runner per table and figure (§5), each printing the same
-// rows or series the paper reports. `cmd/daggerbench` and the root
-// bench_test.go drive these runners.
+// rows or series the paper reports. `cmd/daggerbench` drives these runners.
 package experiments
 
 import (

@@ -37,7 +37,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -680,13 +679,3 @@ func (f *Fabric) remove(addr uint32) {
 	defer f.mu.Unlock()
 	delete(f.nics, addr)
 }
-
-// NumNICs returns the number of attached NICs.
-func (f *Fabric) NumNICs() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.nics)
-}
-
-// Yield hints the scheduler during tight poll loops.
-func Yield() { runtime.Gosched() }

@@ -12,7 +12,6 @@ type Endpoint struct {
 	eng       *sim.Engine
 	svc       sim.Time
 	busyUntil sim.Time
-	served    uint64
 }
 
 // Endpoint service times implied by the measured saturation rates. An
@@ -43,21 +42,8 @@ func (ep *Endpoint) Admit(fn func()) {
 		start = ep.busyUntil
 	}
 	ep.busyUntil = start + ep.svc
-	ep.served++
 	ep.eng.At(ep.busyUntil, fn)
 }
-
-// QueueDelay reports how long a request admitted now would wait before
-// service begins.
-func (ep *Endpoint) QueueDelay() sim.Time {
-	if ep.busyUntil <= ep.eng.Now() {
-		return 0
-	}
-	return ep.busyUntil - ep.eng.Now()
-}
-
-// Served returns the number of admitted requests.
-func (ep *Endpoint) Served() uint64 { return ep.served }
 
 // SMT models simultaneous multithreading slowdown: when two logical threads
 // share one physical core, each runs at SMTFactor of its solo speed. The

@@ -158,22 +158,6 @@ func TestEndpointRateCap(t *testing.T) {
 	}
 }
 
-func TestEndpointIdleNoDelay(t *testing.T) {
-	eng := sim.NewEngine()
-	ep := NewEndpoint(eng, 100)
-	if ep.QueueDelay() != 0 {
-		t.Fatal("idle endpoint reports queue delay")
-	}
-	ep.Admit(func() {})
-	if ep.QueueDelay() != 100 {
-		t.Fatalf("queue delay = %v, want 100", ep.QueueDelay())
-	}
-	eng.Run()
-	if ep.Served() != 1 {
-		t.Fatalf("served = %d", ep.Served())
-	}
-}
-
 func TestThreadCPUPerRPC(t *testing.T) {
 	cfg := Config{Kind: UPI, Batch: 4}
 	solo := ThreadCPUPerRPC(cfg, 1)

@@ -100,20 +100,6 @@ func (s Snapshot) Filter(prefixes ...string) Snapshot {
 	return out
 }
 
-// WithPrefix returns a copy with every sample name prefixed by
-// "prefix." — used to merge per-component snapshots into one namespace.
-func (s Snapshot) WithPrefix(prefix string) Snapshot {
-	if prefix == "" {
-		return s
-	}
-	out := Snapshot{Samples: make([]Sample, len(s.Samples))}
-	for i, sm := range s.Samples {
-		sm.Name = prefix + "." + sm.Name
-		out.Samples[i] = sm
-	}
-	return out
-}
-
 // Delta returns s minus prev, matched by name: counter/gauge values and
 // histogram bucket counts subtract; samples absent from prev pass through
 // unchanged; samples only in prev are dropped. Use it to isolate one
@@ -157,8 +143,7 @@ func subtractBuckets(cur, old []Bucket) []Bucket {
 }
 
 // Merge combines snapshots into one, re-sorted by name. Duplicate names
-// across inputs panic — merge per-component snapshots under distinct
-// WithPrefix namespaces instead.
+// across inputs panic, so per-component snapshots must use distinct names.
 func Merge(snaps ...Snapshot) Snapshot {
 	out := Snapshot{}
 	seen := make(map[string]bool)
@@ -215,23 +200,6 @@ func bucketsEqual(a, b []Bucket) bool {
 		}
 	}
 	return true
-}
-
-// WriteText writes one "name kind value" line per sample (histograms add
-// sum and the non-empty bucket list), in sorted order.
-func (s Snapshot) WriteText(w io.Writer) error {
-	for _, sm := range s.Samples {
-		var err error
-		if sm.Kind == KindHistogram {
-			_, err = fmt.Fprintf(w, "%s %s count=%d sum=%d buckets=%d\n", sm.Name, sm.Kind, sm.Value, sm.Sum, len(sm.Buckets))
-		} else {
-			_, err = fmt.Fprintf(w, "%s %s %d\n", sm.Name, sm.Kind, sm.Value)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // WriteJSON writes the snapshot as indented JSON. Sample order (sorted by

@@ -1,16 +1,10 @@
-// Package netmodel models the network between Dagger NICs: point-to-point
-// links with propagation and serialization delay, the simple ToR switch
-// model with a static switching table used in the paper's loopback and
-// multi-tier setups (§5.1, §5.7, Figure 14), and the round-robin PCIe/UPI
-// arbiter that shares one physical FPGA's CCI-P bus among virtualized NIC
-// instances.
+// Package netmodel holds the network between Dagger NICs: the two fixed
+// delays of the paper's loopback and ToR setups (§5.1, §5.7), and the
+// round-robin PCIe/UPI arbiter that shares one physical FPGA's CCI-P bus
+// among virtualized NIC instances (Figure 14).
 package netmodel
 
-import (
-	"fmt"
-
-	"dagger/internal/sim"
-)
+import "dagger/internal/sim"
 
 // ToRDelay is the top-of-rack switch delay assumed in the paper's Table 3
 // comparison (0.3 us round trip contribution: 150 ns per crossing).
@@ -19,97 +13,6 @@ const ToRDelay sim.Time = 150
 // LoopbackDelay is the on-FPGA loopback network delay between two NIC
 // instances on the same device (§5.1's evaluation topology).
 const LoopbackDelay sim.Time = 50
-
-// Link is a point-to-point wire with fixed propagation delay and a
-// serialization rate. Transfers are serialized in FIFO order.
-type Link struct {
-	eng       *sim.Engine
-	delay     sim.Time
-	nsPerByte float64
-	busyUntil sim.Time
-
-	Sent      uint64
-	BytesSent uint64
-}
-
-// NewLink creates a link with propagation delay and bandwidth in bytes per
-// nanosecond (e.g. 12.5 B/ns = 100 Gb/s). bandwidth <= 0 means infinite.
-func NewLink(eng *sim.Engine, delay sim.Time, bytesPerNs float64) *Link {
-	var nsPerByte float64
-	if bytesPerNs > 0 {
-		nsPerByte = 1 / bytesPerNs
-	}
-	return &Link{eng: eng, delay: delay, nsPerByte: nsPerByte}
-}
-
-// Send transmits a message of the given size; fn fires at the receiver when
-// the last byte arrives.
-func (l *Link) Send(bytes int, fn func()) {
-	now := l.eng.Now()
-	start := now
-	if l.busyUntil > start {
-		start = l.busyUntil
-	}
-	ser := sim.Time(float64(bytes) * l.nsPerByte)
-	l.busyUntil = start + ser
-	l.Sent++
-	l.BytesSent += uint64(bytes)
-	l.eng.At(l.busyUntil+l.delay, fn)
-}
-
-// Port is a switch egress: a handler invoked for delivered frames.
-type Port func(dst uint32, frame []byte)
-
-// Switch is the paper's "simple model of a ToR networking switch with a
-// static switching table" (§5.7): L2 forwarding by destination address with
-// a fixed per-frame latency and per-port FIFO serialization.
-type Switch struct {
-	eng     *sim.Engine
-	latency sim.Time
-	links   map[uint32]*Link
-	ports   map[uint32]Port
-
-	Forwarded uint64
-	Unrouted  uint64
-}
-
-// NewSwitch creates a switch with per-crossing latency.
-func NewSwitch(eng *sim.Engine, latency sim.Time) *Switch {
-	return &Switch{
-		eng:     eng,
-		latency: latency,
-		links:   make(map[uint32]*Link),
-		ports:   make(map[uint32]Port),
-	}
-}
-
-// Connect attaches an address to the switch via a link and a delivery
-// handler (the static switching table entry).
-func (s *Switch) Connect(addr uint32, link *Link, port Port) error {
-	if _, dup := s.ports[addr]; dup {
-		return fmt.Errorf("netmodel: address %#x already connected", addr)
-	}
-	s.links[addr] = link
-	s.ports[addr] = port
-	return nil
-}
-
-// Forward routes a frame to dst; delivery fires after switch latency plus
-// the egress link's serialization and propagation. Frames to unknown
-// addresses are counted and dropped (static table: no learning, no
-// flooding).
-func (s *Switch) Forward(dst uint32, frame []byte) {
-	port, ok := s.ports[dst]
-	if !ok {
-		s.Unrouted++
-		return
-	}
-	s.Forwarded++
-	link := s.links[dst]
-	s.eng.After(s.latency, func() {
-		link.Send(len(frame), func() { port(dst, frame) })
-	})
-}
 
 // Arbiter models the PCIe/UPI arbiter of Figure 14: fair round-robin
 // sharing of the CCI-P bus among NIC instances on one FPGA. Each transfer

@@ -6,86 +6,6 @@ import (
 	"dagger/internal/sim"
 )
 
-func TestLinkPropagationOnly(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, 100, 0) // infinite bandwidth
-	var at sim.Time
-	l.Send(64, func() { at = eng.Now() })
-	eng.Run()
-	if at != 100 {
-		t.Fatalf("delivery at %v, want 100", at)
-	}
-}
-
-func TestLinkSerialization(t *testing.T) {
-	eng := sim.NewEngine()
-	l := NewLink(eng, 0, 1) // 1 byte/ns
-	var first, second sim.Time
-	l.Send(100, func() { first = eng.Now() })
-	l.Send(100, func() { second = eng.Now() })
-	eng.Run()
-	if first != 100 {
-		t.Fatalf("first at %v, want 100", first)
-	}
-	if second != 200 {
-		t.Fatalf("second at %v, want 200 (serialized)", second)
-	}
-	if l.Sent != 2 || l.BytesSent != 200 {
-		t.Fatalf("stats: %d sent, %d bytes", l.Sent, l.BytesSent)
-	}
-}
-
-func TestSwitchForwarding(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, ToRDelay)
-	delivered := map[uint32][]byte{}
-	for _, addr := range []uint32{1, 2} {
-		addr := addr
-		link := NewLink(eng, 50, 0)
-		if err := sw.Connect(addr, link, func(dst uint32, frame []byte) {
-			delivered[addr] = frame
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sw.Forward(2, []byte("hello"))
-	var deliveredAt sim.Time
-	eng.At(0, func() {}) // anchor
-	eng.Run()
-	deliveredAt = eng.Now()
-	if string(delivered[2]) != "hello" {
-		t.Fatal("frame not delivered to addr 2")
-	}
-	if delivered[1] != nil {
-		t.Fatal("frame leaked to addr 1")
-	}
-	if deliveredAt != ToRDelay+50 {
-		t.Fatalf("delivered at %v, want %v", deliveredAt, ToRDelay+50)
-	}
-}
-
-func TestSwitchUnroutedDrop(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, 10)
-	sw.Forward(99, []byte("x"))
-	eng.Run()
-	if sw.Unrouted != 1 || sw.Forwarded != 0 {
-		t.Fatalf("unrouted=%d forwarded=%d", sw.Unrouted, sw.Forwarded)
-	}
-}
-
-func TestSwitchDuplicateConnect(t *testing.T) {
-	eng := sim.NewEngine()
-	sw := NewSwitch(eng, 10)
-	l := NewLink(eng, 0, 0)
-	if err := sw.Connect(1, l, func(uint32, []byte) {}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Connect(1, l, func(uint32, []byte) {}); err == nil {
-		t.Fatal("duplicate connect succeeded")
-	}
-}
-
 func TestArbiterFairRoundRobin(t *testing.T) {
 	eng := sim.NewEngine()
 	a := NewArbiter(eng, 3, 10)

@@ -44,9 +44,9 @@ func TestRxPathFaultReadySignal(t *testing.T) {
 	}
 	rx.Deliver(RxEntry{RPCID: 5})
 	rx.SetFaultInjector(nil)
-	if rx.Buffered() != 1 || rx.Pending() != 2 {
+	if len(rx.buf) != 1 || rx.Pending() != 2 {
 		t.Fatalf("after uninstall: buffered %d pending %d, want the released entry buffered behind the flushed batch",
-			rx.Buffered(), rx.Pending())
+			len(rx.buf), rx.Pending())
 	}
 	reg := metrics.New()
 	rx.DescribeMetrics(reg)

@@ -64,16 +64,6 @@ func (h *HCC) Access(addr uint64) sim.Time {
 	return HCCMissPenalty
 }
 
-// Invalidate drops the line containing addr (host wrote it; coherence
-// protocol invalidates the NIC's copy).
-func (h *HCC) Invalidate(addr uint64) {
-	line := addr >> h.lineBits
-	idx := line % hccLines
-	if h.valid[idx] && h.tags[idx] == line {
-		h.valid[idx] = false
-	}
-}
-
 // HitRate returns the fraction of accesses that hit.
 func (h *HCC) HitRate() float64 {
 	hits := h.Hits.Load()

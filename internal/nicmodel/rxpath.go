@@ -172,8 +172,5 @@ func (r *RxPath) Complete(max int) []RxEntry {
 	return out
 }
 
-// Buffered returns the entries accumulated toward the next batch.
-func (r *RxPath) Buffered() int { return len(r.buf) }
-
 // Pending returns the entries awaiting completion-queue pickup.
 func (r *RxPath) Pending() int { return len(r.pending) }

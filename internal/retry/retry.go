@@ -98,21 +98,17 @@ func (p Policy) ScaledBackoff(attempt, scale int) time.Duration {
 	return d
 }
 
-// minHeadroom is the floor on the work headroom NextDelay demands beyond
+// minHeadroom is the floor on the work headroom NextDelayScaled demands beyond
 // the backoff delay. A Policy with Base <= 0 would otherwise demand zero
 // headroom and admit retries whose budget expires the moment they arrive.
 const minHeadroom = 100 * time.Microsecond
 
-// NextDelay returns the backoff before retry `attempt` and whether the
-// caller's remaining budget can absorb that delay (with headroom for the call
-// itself). remaining <= 0 means no deadline: always ok.
-func (p Policy) NextDelay(attempt int, remaining time.Duration) (time.Duration, bool) {
-	return p.NextDelayScaled(attempt, remaining, 1)
-}
-
-// NextDelayScaled is NextDelay with a congestion backoff multiplier (see
-// ScaledBackoff); the budget check is applied to the scaled delay, so a
-// congested connection gives up on doomed retries sooner.
+// NextDelayScaled returns the backoff before retry `attempt`, scaled by a
+// congestion multiplier (see ScaledBackoff), and whether the caller's
+// remaining budget can absorb that delay with headroom for the call itself.
+// The budget check applies to the scaled delay, so a congested connection
+// gives up on doomed retries sooner. remaining <= 0 means no deadline:
+// always ok.
 func (p Policy) NextDelayScaled(attempt int, remaining time.Duration, scale int) (time.Duration, bool) {
 	d := p.ScaledBackoff(attempt, scale)
 	if remaining <= 0 {

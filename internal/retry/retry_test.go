@@ -65,18 +65,18 @@ func TestBackoffJitterDeterministic(t *testing.T) {
 
 func TestNextDelayBudgetAware(t *testing.T) {
 	p := Policy{MaxAttempts: 3, Base: time.Millisecond, Max: 10 * time.Millisecond, Multiplier: 2}
-	if _, ok := p.NextDelay(1, 0); !ok {
+	if _, ok := p.NextDelayScaled(1, 0, 1); !ok {
 		t.Fatal("no deadline must always allow a retry")
 	}
-	if _, ok := p.NextDelay(1, time.Second); !ok {
+	if _, ok := p.NextDelayScaled(1, time.Second, 1); !ok {
 		t.Fatal("ample budget refused")
 	}
-	if _, ok := p.NextDelay(1, 500*time.Microsecond); ok {
+	if _, ok := p.NextDelayScaled(1, 500*time.Microsecond, 1); ok {
 		t.Fatal("retry allowed with budget smaller than the delay")
 	}
 	// Budget covers the delay but leaves no room for the call itself.
 	d := p.Backoff(2)
-	if _, ok := p.NextDelay(2, d+p.Base/2); ok {
+	if _, ok := p.NextDelayScaled(2, d+p.Base/2, 1); ok {
 		t.Fatal("retry allowed with no headroom for the call")
 	}
 }
@@ -108,13 +108,13 @@ func TestBackoffJitterClamped(t *testing.T) {
 func TestNextDelayHeadroomFloor(t *testing.T) {
 	p := Policy{MaxAttempts: 3, Base: 0, Max: 10 * time.Millisecond, Multiplier: 2}
 	// Base 0 means Backoff is 0; a 1ns budget used to pass (1 > 0+0).
-	if _, ok := p.NextDelay(1, time.Nanosecond); ok {
+	if _, ok := p.NextDelayScaled(1, time.Nanosecond, 1); ok {
 		t.Fatal("doomed retry admitted with zero-Base policy")
 	}
-	if _, ok := p.NextDelay(1, 50*time.Microsecond); ok {
+	if _, ok := p.NextDelayScaled(1, 50*time.Microsecond, 1); ok {
 		t.Fatal("retry admitted below the headroom floor")
 	}
-	if _, ok := p.NextDelay(1, time.Second); !ok {
+	if _, ok := p.NextDelayScaled(1, time.Second, 1); !ok {
 		t.Fatal("ample budget refused under zero-Base policy")
 	}
 }

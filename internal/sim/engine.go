@@ -28,9 +28,6 @@ const (
 // Float64 returns t as a float64 number of nanoseconds.
 func (t Time) Float64() float64 { return float64(t) }
 
-// Micros returns t as a float64 number of microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 func (t Time) String() string {
 	switch {
 	case t >= Second:

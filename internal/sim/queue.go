@@ -45,14 +45,6 @@ func (q *Queue) Pop() (interface{}, bool) {
 	return v, true
 }
 
-// Peek returns the oldest item without removing it.
-func (q *Queue) Peek() (interface{}, bool) {
-	if len(q.items) == 0 {
-		return nil, false
-	}
-	return q.items[0], true
-}
-
 // Len returns the current occupancy.
 func (q *Queue) Len() int { return len(q.items) }
 

@@ -9,12 +9,6 @@ type Resource struct {
 	capacity int
 	busy     int
 	waiters  []func()
-
-	// Stats accumulated over the run.
-	granted     uint64
-	queuedTotal uint64
-	busyTime    Time
-	lastChange  Time
 }
 
 // NewResource creates a resource with the given slot capacity on eng.
@@ -30,26 +24,11 @@ func NewResource(eng *Engine, capacity int) *Resource {
 // a slot is granted. The caller must eventually call Release for every grant.
 func (r *Resource) Acquire(fn func()) {
 	if r.busy < r.capacity {
-		r.accountBusy()
 		r.busy++
-		r.granted++
 		r.eng.After(0, fn)
 		return
 	}
-	r.queuedTotal++
 	r.waiters = append(r.waiters, fn)
-}
-
-// TryAcquire grants a slot immediately if one is free and returns true;
-// otherwise it returns false without queueing.
-func (r *Resource) TryAcquire() bool {
-	if r.busy < r.capacity {
-		r.accountBusy()
-		r.busy++
-		r.granted++
-		return true
-	}
-	return false
 }
 
 // Release frees a slot, waking the oldest waiter if any.
@@ -60,35 +39,11 @@ func (r *Resource) Release() {
 	if len(r.waiters) > 0 {
 		next := r.waiters[0]
 		r.waiters = r.waiters[1:]
-		r.granted++
 		r.eng.After(0, next)
 		return // slot transfers directly; busy count unchanged
 	}
-	r.accountBusy()
 	r.busy--
 }
 
-// InUse returns the number of currently held slots.
-func (r *Resource) InUse() int { return r.busy }
-
 // QueueLen returns the number of waiting requesters.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
-
-// Granted returns the total number of grants.
-func (r *Resource) Granted() uint64 { return r.granted }
-
-// Utilization returns the time-averaged fraction of busy capacity since the
-// start of the simulation.
-func (r *Resource) Utilization() float64 {
-	r.accountBusy()
-	if r.eng.now == 0 {
-		return 0
-	}
-	return float64(r.busyTime) / (float64(r.eng.now) * float64(r.capacity))
-}
-
-func (r *Resource) accountBusy() {
-	dt := r.eng.now - r.lastChange
-	r.busyTime += Time(int64(dt) * int64(r.busy))
-	r.lastChange = r.eng.now
-}

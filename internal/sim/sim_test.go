@@ -152,33 +152,6 @@ func TestResourceFIFOGrants(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	if !r.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("second TryAcquire should fail at capacity")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
-func TestResourceUtilization(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, 1)
-	r.Acquire(func() { e.After(500, r.Release) })
-	e.At(1000, func() {})
-	e.Run()
-	u := r.Utilization()
-	if u < 0.45 || u > 0.55 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
-	}
-}
-
 func TestResourceReleaseIdlePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

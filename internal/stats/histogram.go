@@ -182,9 +182,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 	return h.max
 }
 
-// Median is Percentile(50).
-func (h *Histogram) Median() int64 { return h.Percentile(50) }
-
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	h.counts = h.counts[:0]

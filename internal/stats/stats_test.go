@@ -201,33 +201,6 @@ func TestCDFProperty(t *testing.T) {
 	}
 }
 
-func TestSummary(t *testing.T) {
-	s := NewSummary()
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(x)
-	}
-	if s.N() != 8 {
-		t.Fatalf("n = %d", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %v, want 5", s.Mean())
-	}
-	// Sample variance of this classic dataset is 32/7.
-	if math.Abs(s.Variance()-32.0/7.0) > 1e-9 {
-		t.Fatalf("variance = %v, want %v", s.Variance(), 32.0/7.0)
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-}
-
-func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary()
-	if s.Mean() != 0 || s.Variance() != 0 || s.Min() != 0 || s.Max() != 0 {
-		t.Fatal("empty summary should report zeros")
-	}
-}
-
 func TestHistogramSummaryString(t *testing.T) {
 	h := NewHistogram()
 	h.Record(1500)

@@ -130,12 +130,6 @@ func (c *Collector) Record(id uint64, sp Span) {
 	c.traces[idx].Spans = append(c.traces[idx].Spans, sp)
 }
 
-// Traces returns a snapshot of collected traces.
-func (c *Collector) Traces() []Trace {
-	traces, _ := c.Snapshot()
-	return traces
-}
-
 // Snapshot returns the collected traces together with the count of traces
 // dropped at the retention cap.
 func (c *Collector) Snapshot() ([]Trace, uint64) {

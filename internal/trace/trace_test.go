@@ -115,8 +115,8 @@ func TestRetentionCap(t *testing.T) {
 		id := c.Begin()
 		c.Record(id, Span{Service: "S", Work: 1, End: 1})
 	}
-	if got := len(c.Traces()); got != 3 {
-		t.Fatalf("retained %d traces, want 3", got)
+	if traces, _ := c.Snapshot(); len(traces) != 3 {
+		t.Fatalf("retained %d traces, want 3", len(traces))
 	}
 	// Records for dropped traces are ignored, not panicking.
 	c.Record(999, Span{Service: "S"})

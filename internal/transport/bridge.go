@@ -81,7 +81,7 @@ func (b *Bridge) onDeadLetter(_ string, pkt []byte) {
 
 // Endpoint returns the bridge's own transport endpoint (to put in peers'
 // route tables).
-func (b *Bridge) Endpoint() string { return b.conn.LocalEndpoint() }
+func (b *Bridge) Endpoint() Endpoint { return b.conn.LocalEndpoint() }
 
 func (b *Bridge) forward(dstAddr uint32, frame []byte) error {
 	if b.closed.Load() {

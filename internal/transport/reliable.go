@@ -237,7 +237,7 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 // the handler, thanks to receiver-side dedup), carrying the acks owed to
 // endpoint. Packets beyond the congestion window queue at the sender and
 // drain as acks arrive.
-func (r *Reliable) Send(endpoint string, pkt []byte) error {
+func (r *Reliable) Send(endpoint Endpoint, pkt []byte) error {
 	r.mu.Lock()
 	p := r.peerLocked(endpoint)
 	if p.ring == nil {
@@ -435,14 +435,14 @@ func (r *Reliable) SetDeadLetter(fn func(endpoint string, pkt []byte)) {
 }
 
 // SetHandler installs the deduplicated receive callback.
-func (r *Reliable) SetHandler(h func([]byte, string)) {
+func (r *Reliable) SetHandler(h func([]byte, Endpoint)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.handler = h
 }
 
 // LocalEndpoint returns the inner conn's endpoint.
-func (r *Reliable) LocalEndpoint() string { return r.inner.LocalEndpoint() }
+func (r *Reliable) LocalEndpoint() Endpoint { return r.inner.LocalEndpoint() }
 
 // Close stops retransmission and the inner conn.
 func (r *Reliable) Close() error {
@@ -450,39 +450,6 @@ func (r *Reliable) Close() error {
 	err := r.inner.Close()
 	r.wg.Wait()
 	return err
-}
-
-// Unacked returns the number of packets awaiting acknowledgement.
-func (r *Reliable) Unacked() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, p := range r.peers {
-		n += p.inflight
-	}
-	return n
-}
-
-// Queued returns the number of packets waiting behind congestion windows.
-func (r *Reliable) Queued() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, p := range r.peers {
-		n += len(p.waiting)
-	}
-	return n
-}
-
-// Window returns the current congestion window (in packets) toward a peer,
-// or the initial window if no session exists yet.
-func (r *Reliable) Window(endpoint string) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if p := r.peers[endpoint]; p != nil {
-		return p.cwnd
-	}
-	return r.initWnd
 }
 
 func (r *Reliable) onPacket(pkt []byte, from string) {

@@ -29,21 +29,23 @@ var (
 	ErrBridgeClose = errors.New("transport: bridge closed")
 )
 
+// Endpoint names a PacketConn peer: an opaque string, host:port for UDP.
+type Endpoint = string
+
 // PacketConn is the datagram substrate a Bridge runs over: real UDP in
 // production (NewUDPConn), an in-memory lossy pair in tests. Implementations
 // must be safe for concurrent Send.
 type PacketConn interface {
-	// Send transmits one datagram to a peer named by an opaque endpoint
-	// string (host:port for UDP).
-	Send(endpoint string, pkt []byte) error
+	// Send transmits one datagram to a peer.
+	Send(endpoint Endpoint, pkt []byte) error
 	// SetHandler installs the receive callback; it is invoked once per
 	// inbound datagram with the sender's endpoint. Must be called before
 	// traffic flows. The pkt slice is borrowed: it is only valid for the
 	// duration of the callback, and a handler that retains it must copy
 	// (this lets implementations reuse one receive buffer).
-	SetHandler(func(pkt []byte, from string))
+	SetHandler(func(pkt []byte, from Endpoint))
 	// LocalEndpoint returns this conn's own endpoint name.
-	LocalEndpoint() string
+	LocalEndpoint() Endpoint
 	// Close stops the conn; the handler will not fire afterwards.
 	Close() error
 }
@@ -53,7 +55,7 @@ type Route struct {
 	// Lo and Hi bound the NIC addresses (inclusive) owned by the peer.
 	Lo, Hi uint32
 	// Endpoint is the peer's PacketConn endpoint.
-	Endpoint string
+	Endpoint Endpoint
 }
 
 // RouteTable resolves destination NIC addresses to peer endpoints — the
@@ -105,7 +107,7 @@ func (t *RouteTable) Add(r Route) {
 
 // Resolve returns the endpoint owning addr: a binary search for the route
 // with the greatest Lo not above addr, then an upper-bound check.
-func (t *RouteTable) Resolve(addr uint32) (string, bool) {
+func (t *RouteTable) Resolve(addr uint32) (Endpoint, bool) {
 	p := t.routes.Load()
 	if p == nil {
 		return "", false

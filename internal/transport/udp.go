@@ -97,7 +97,7 @@ func unmap(ap netip.AddrPort) netip.AddrPort {
 }
 
 // Send transmits one datagram to endpoint (host:port).
-func (u *UDPConn) Send(endpoint string, pkt []byte) error {
+func (u *UDPConn) Send(endpoint Endpoint, pkt []byte) error {
 	if u.closed.Load() {
 		return ErrBridgeClose
 	}
@@ -119,14 +119,14 @@ func (u *UDPConn) Send(endpoint string, pkt []byte) error {
 }
 
 // SetHandler installs the receive callback.
-func (u *UDPConn) SetHandler(h func([]byte, string)) {
+func (u *UDPConn) SetHandler(h func([]byte, Endpoint)) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	u.handler = h
 }
 
 // LocalEndpoint returns the bound host:port.
-func (u *UDPConn) LocalEndpoint() string { return u.conn.LocalAddr().String() }
+func (u *UDPConn) LocalEndpoint() Endpoint { return u.conn.LocalAddr().String() }
 
 // Close shuts the socket and waits for the receive loop.
 func (u *UDPConn) Close() error {

@@ -95,9 +95,6 @@ func NewDecoder(payload []byte) *Decoder { return &Decoder{buf: payload} }
 // Err returns the first decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unconsumed bytes.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
-
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil

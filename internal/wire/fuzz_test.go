@@ -178,7 +178,7 @@ func FuzzDecoder(f *testing.F) {
 	f.Add(e.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(data)
-		for d.Err() == nil && d.Remaining() > 0 {
+		for d.Err() == nil && d.off < len(d.buf) {
 			d.Uint32()
 			d.Bytes16()
 			d.Bool()

@@ -620,8 +620,8 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	if d.String16() != "hello" {
 		t.Fatal("string16 mismatch")
 	}
-	if d.Err() != nil || d.Remaining() != 0 {
-		t.Fatalf("err=%v remaining=%d", d.Err(), d.Remaining())
+	if d.Err() != nil || d.off != len(d.buf) {
+		t.Fatalf("err=%v remaining=%d", d.Err(), len(d.buf)-d.off)
 	}
 }
 

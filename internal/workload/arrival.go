@@ -7,14 +7,6 @@ import (
 	"dagger/internal/sim"
 )
 
-// Arrival generates inter-arrival gaps for an open-loop load generator.
-type Arrival interface {
-	// NextGap returns the simulated time until the next request.
-	NextGap() sim.Time
-	// Rate returns the configured mean request rate in requests/second.
-	Rate() float64
-}
-
 // PoissonArrival models a memoryless open-loop client at a given mean rate.
 type PoissonArrival struct {
 	rng  *rand.Rand
@@ -38,31 +30,3 @@ func (p *PoissonArrival) NextGap() sim.Time {
 	}
 	return gap
 }
-
-// Rate returns the mean rate in requests/second.
-func (p *PoissonArrival) Rate() float64 { return p.rate }
-
-// UniformArrival issues requests at exact fixed intervals (a paced
-// closed-spacing generator, used for saturation sweeps).
-type UniformArrival struct {
-	gap  sim.Time
-	rate float64
-}
-
-// NewUniformArrival creates a fixed-interval process at rate requests/sec.
-func NewUniformArrival(rate float64) *UniformArrival {
-	if rate <= 0 {
-		panic("workload: arrival rate must be positive")
-	}
-	gap := sim.Time(1e9 / rate)
-	if gap < 1 {
-		gap = 1
-	}
-	return &UniformArrival{gap: gap, rate: rate}
-}
-
-// NextGap returns the fixed gap.
-func (u *UniformArrival) NextGap() sim.Time { return u.gap }
-
-// Rate returns the mean rate in requests/second.
-func (u *UniformArrival) Rate() float64 { return u.rate }

@@ -16,19 +16,6 @@ type FixedSize int64
 // Sample returns the fixed size.
 func (f FixedSize) Sample(*rand.Rand) int64 { return int64(f) }
 
-// UniformSize samples uniformly in [Lo, Hi].
-type UniformSize struct {
-	Lo, Hi int64
-}
-
-// Sample draws a uniform size.
-func (u UniformSize) Sample(rng *rand.Rand) int64 {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + rng.Int63n(u.Hi-u.Lo+1)
-}
-
 // LogNormalSize samples a log-normal size clamped to [Min, Max].
 type LogNormalSize struct {
 	Mu, Sigma float64 // parameters of ln(size)
@@ -45,43 +32,4 @@ func (l LogNormalSize) Sample(rng *rand.Rand) int64 {
 		v = l.Max
 	}
 	return v
-}
-
-// WeightedSize pairs a distribution with a selection weight.
-type WeightedSize struct {
-	Weight float64
-	Dist   SizeDist
-}
-
-// MixtureSize samples from component distributions with given weights.
-type MixtureSize struct {
-	comps []WeightedSize
-	total float64
-}
-
-// NewMixtureSize builds a mixture; weights need not sum to 1.
-func NewMixtureSize(comps ...WeightedSize) *MixtureSize {
-	m := &MixtureSize{comps: comps}
-	for _, c := range comps {
-		if c.Weight < 0 {
-			panic("workload: negative mixture weight")
-		}
-		m.total += c.Weight
-	}
-	if m.total <= 0 {
-		panic("workload: mixture has no weight")
-	}
-	return m
-}
-
-// Sample selects a component by weight, then samples it.
-func (m *MixtureSize) Sample(rng *rand.Rand) int64 {
-	x := rng.Float64() * m.total
-	for _, c := range m.comps {
-		if x < c.Weight {
-			return c.Dist.Sample(rng)
-		}
-		x -= c.Weight
-	}
-	return m.comps[len(m.comps)-1].Dist.Sample(rng)
 }

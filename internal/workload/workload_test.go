@@ -151,36 +151,19 @@ func TestPoissonArrivalMeanRate(t *testing.T) {
 	}
 }
 
-func TestUniformArrival(t *testing.T) {
-	a := NewUniformArrival(2e6)
-	if a.NextGap() != 500 {
-		t.Fatalf("gap = %v, want 500ns", a.NextGap())
-	}
-	if a.Rate() != 2e6 {
-		t.Fatalf("rate = %v", a.Rate())
-	}
-}
-
 func TestArrivalRejectsBadRate(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("zero rate did not panic")
 		}
 	}()
-	NewUniformArrival(0)
+	NewPoissonArrival(rand.New(rand.NewSource(1)), 0)
 }
 
 func TestSizeDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	if FixedSize(64).Sample(rng) != 64 {
 		t.Fatal("fixed size wrong")
-	}
-	u := UniformSize{Lo: 10, Hi: 20}
-	for i := 0; i < 1000; i++ {
-		v := u.Sample(rng)
-		if v < 10 || v > 20 {
-			t.Fatalf("uniform sample %d out of range", v)
-		}
 	}
 	l := LogNormalSize{Mu: math.Log(580), Sigma: 0.5, Min: 64, Max: 4096}
 	for i := 0; i < 1000; i++ {
@@ -189,31 +172,4 @@ func TestSizeDistributions(t *testing.T) {
 			t.Fatalf("lognormal sample %d out of clamp range", v)
 		}
 	}
-}
-
-func TestMixtureSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	m := NewMixtureSize(
-		WeightedSize{Weight: 0.9, Dist: FixedSize(64)},
-		WeightedSize{Weight: 0.1, Dist: FixedSize(1024)},
-	)
-	small := 0
-	for i := 0; i < 10_000; i++ {
-		if m.Sample(rng) == 64 {
-			small++
-		}
-	}
-	frac := float64(small) / 10_000
-	if math.Abs(frac-0.9) > 0.02 {
-		t.Fatalf("small fraction %.3f, want 0.9", frac)
-	}
-}
-
-func TestMixtureRejectsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero-weight mixture did not panic")
-		}
-	}()
-	NewMixtureSize(WeightedSize{Weight: 0, Dist: FixedSize(1)})
 }
