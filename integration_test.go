@@ -17,7 +17,6 @@ import (
 	"dagger/internal/core"
 	"dagger/internal/fabric"
 	"dagger/internal/flight"
-	"dagger/internal/trace"
 	"dagger/internal/transport"
 	"dagger/internal/wire"
 )
@@ -136,9 +135,8 @@ func TestMultiLineRPCs(t *testing.T) {
 	}
 }
 
-// TestFlightOverUDPBridge splits the flight app's client side from its
-// servers... kept simpler: a traced echo service across two fabrics over
-// real UDP with the reliability protocol.
+// TestTracedServiceOverUDP runs a worker-threaded service across two
+// fabrics over real UDP with the reliability protocol.
 func TestTracedServiceOverUDP(t *testing.T) {
 	cliFab := fabric.NewFabric()
 	srvFab := fabric.NewFabric()
@@ -161,8 +159,6 @@ func TestTracedServiceOverUDP(t *testing.T) {
 
 	snic, _ := srvFab.CreateNIC(100, 2, 256)
 	srv := core.NewRpcThreadedServer(snic, core.ServerConfig{Threading: core.WorkerThreads, Workers: 2})
-	tc := trace.NewCollector(0)
-	_ = srv.SetTracer(tc)
 	_ = srv.Register(0, "remote.work", func(_ context.Context, req []byte) ([]byte, error) {
 		return append([]byte("done:"), req...), nil
 	})
@@ -181,13 +177,6 @@ func TestTracedServiceOverUDP(t *testing.T) {
 		if string(resp) != fmt.Sprintf("done:req-%d", i) {
 			t.Fatalf("call %d: %q", i, resp)
 		}
-	}
-	rep := tc.Analyze()
-	if rep.Bottleneck() != "remote.work" {
-		t.Fatalf("trace report: %s", rep)
-	}
-	if rep.Profiles[0].Spans != 25 {
-		t.Fatalf("spans = %d", rep.Profiles[0].Spans)
 	}
 }
 

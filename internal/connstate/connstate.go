@@ -121,9 +121,6 @@ func New[V any](size int) *Cache[V] {
 	}
 }
 
-// Size returns the cache size in entries (post-rounding).
-func (c *Cache[V]) Size() int { return c.size }
-
 // slot returns the direct-mapped slot for key: the key's LSBs, i.e. the
 // connection id's LSBs under the Key packing.
 func (c *Cache[V]) slot(key uint64) uint32 { return uint32(key) & c.mask }

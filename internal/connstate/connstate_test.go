@@ -8,8 +8,8 @@ import (
 
 func TestGeometry(t *testing.T) {
 	c := New[int](5)
-	if c.Size() != 8 {
-		t.Fatalf("size = %d, want 8 (rounded to power of two)", c.Size())
+	if c.size != 8 {
+		t.Fatalf("size = %d, want 8 (rounded to power of two)", c.size)
 	}
 	// Keys whose connection ids share LSBs land in the same slot regardless
 	// of source address; distinct LSBs never collide.

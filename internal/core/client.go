@@ -104,7 +104,7 @@ type RpcClient struct {
 
 	mu      sync.Mutex
 	conns   map[uint32]uint32 // connID -> destination address
-	cong    map[uint32]*connCongestion
+	cong    map[uint32]*dataplane.Window
 	nextRPC uint64
 	pending map[uint64]*call
 
@@ -157,46 +157,18 @@ func (c *RpcClient) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("conn.miss.echoed", &c.ConnMisses)
 }
 
-// connCongestion is one connection's view of the congestion control loop:
-// an AIMD in-flight window driven by the ECN-style marks echoed in
-// responses. All fields are guarded by RpcClient.mu. The window starts at
-// dataplane.DefaultMaxWindow, far above any bounded ring, so the loop is
-// inert until a queue actually reports congestion.
-type connCongestion struct {
-	window   int    // current in-flight cap
-	inflight int    // calls issued and not yet completed or abandoned
-	epoch    uint64 // halve at most once per window: marks with RPCID <= epoch are absorbed
-	marks    uint64 // responses that carried a congestion mark
-	cleans   uint64 // responses that did not
-	lastHint uint8  // occupancy hint from the most recent marked response (0 after a clean one)
-}
-
-// CongestionState is a read-only snapshot of one connection's control loop,
-// surfaced for callers that adapt offered load or for tests and experiments.
-type CongestionState struct {
-	Window   int
-	InFlight int
-	Marks    uint64
-	Cleans   uint64
-	LastHint uint8
-}
-
-// Congestion reports connID's congestion-control state; ok is false if the
-// connection is not open.
-func (c *RpcClient) Congestion(connID uint32) (CongestionState, bool) {
+// Congestion returns a copy of connID's congestion window; ok is false if
+// the connection is not open. Each connection's window is guarded by c.mu
+// and starts at dataplane.DefaultMaxWindow, far above any bounded ring, so
+// the loop is inert until a queue actually reports congestion.
+func (c *RpcClient) Congestion(connID uint32) (dataplane.Window, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cc := c.cong[connID]
 	if cc == nil {
-		return CongestionState{}, false
+		return dataplane.Window{}, false
 	}
-	return CongestionState{
-		Window:   cc.window,
-		InFlight: cc.inflight,
-		Marks:    cc.marks,
-		Cleans:   cc.cleans,
-		LastHint: cc.lastHint,
-	}, true
+	return *cc, true
 }
 
 // backoffScale maps connID's most recent congestion hint to the integer
@@ -206,7 +178,7 @@ func (c *RpcClient) backoffScale(connID uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cc := c.cong[connID]; cc != nil {
-		return dataplane.BackoffScale(cc.lastHint)
+		return dataplane.BackoffScale(cc.LastHint)
 	}
 	return 1
 }
@@ -225,7 +197,7 @@ func NewRpcClient(nic *fabric.SoftNIC, flowID int) (*RpcClient, error) {
 		flow:    fl,
 		cq:      NewCompletionQueue(),
 		conns:   make(map[uint32]uint32),
-		cong:    make(map[uint32]*connCongestion),
+		cong:    make(map[uint32]*dataplane.Window),
 		pending: make(map[uint64]*call),
 		stop:    make(chan struct{}),
 	}
@@ -244,9 +216,6 @@ func (c *RpcClient) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // CompletionQueue returns the client's completion queue.
 func (c *RpcClient) CompletionQueue() *CompletionQueue { return c.cq }
-
-// FlowID returns the NIC flow this client owns.
-func (c *RpcClient) FlowID() uint16 { return c.flowID }
 
 // Release returns a response buffer obtained from Call/CallConn (or from a
 // completion) to the client's buffer pool. Optional — unreleased buffers are
@@ -278,7 +247,8 @@ func (c *RpcClient) OpenConnection(dstAddr uint32) (uint32, error) {
 		id += nflows
 	}
 	c.conns[id] = dstAddr
-	c.cong[id] = &connCongestion{window: dataplane.DefaultMaxWindow}
+	w := dataplane.NewWindow(dataplane.DefaultMaxWindow)
+	c.cong[id] = &w
 	if !c.hasConn {
 		c.defaultConn = id
 		c.hasConn = true
@@ -495,7 +465,7 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 		return nil, fmt.Errorf("%w: %d", ErrConnNotOpen, connID)
 	}
 	cc := c.cong[connID]
-	if cc != nil && cc.inflight >= cc.window {
+	if cc != nil && cc.Full() {
 		// AIMD window full: refuse locally instead of piling onto a queue
 		// that just told us it is congested. Nothing was sent, so the
 		// caller (typically CallRetry) can back off and try again.
@@ -504,7 +474,7 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 		return nil, ErrCongested
 	}
 	if cc != nil {
-		cc.inflight++
+		cc.InFlight++
 	}
 	c.nextRPC++
 	id := c.nextRPC
@@ -552,8 +522,8 @@ func (c *RpcClient) abandon(cl *call) bool {
 		// The call will never complete through the receive path, so its
 		// congestion-window slot frees here. Whoever removes the pending
 		// entry — this abandon or the receive path — decrements exactly once.
-		if cc := c.cong[cl.conn]; cc != nil && cc.inflight > 0 {
-			cc.inflight--
+		if cc := c.cong[cl.conn]; cc != nil {
+			cc.Release()
 		}
 		return true
 	}
@@ -655,29 +625,11 @@ func (c *RpcClient) recvLoop() {
 }
 
 // noteCompletionLocked applies one response's congestion signal to its
-// connection's AIMD state. Callers hold c.mu. A marked response halves the
-// window at most once per in-flight window (the epoch guard: marks on calls
-// issued before the last decrease are echoes of the same congestion event);
-// a clean response grows it by one and clears the backoff hint.
+// connection's window. Callers hold c.mu. RPC ids are the window's issue
+// sequence, so marks on calls issued before the last decrease are absorbed.
 func (c *RpcClient) noteCompletionLocked(connID uint32, h *wire.Header) {
-	cc := c.cong[connID]
-	if cc == nil {
-		return
-	}
-	if cc.inflight > 0 {
-		cc.inflight--
-	}
-	if h.Congested() {
-		cc.marks++
-		cc.lastHint = h.Occupancy
-		if h.RPCID > cc.epoch {
-			cc.window = dataplane.WindowOnMark(cc.window, dataplane.DefaultMinWindow)
-			cc.epoch = c.nextRPC
-		}
-	} else {
-		cc.cleans++
-		cc.lastHint = 0
-		cc.window = dataplane.WindowOnClean(cc.window, dataplane.DefaultMaxWindow)
+	if cc := c.cong[connID]; cc != nil {
+		cc.OnResponse(h.RPCID, c.nextRPC, h.Congested(), h.Occupancy)
 	}
 }
 

@@ -172,12 +172,12 @@ func TestClientCongestionLoop(t *testing.T) {
 	// before the first completion), so the epoch guard admits exactly one
 	// multiplicative decrease: the clean completions that precede the first
 	// mark stay capped at the max, and no clean follows the last mark.
-	if st.Window != dataplane.DefaultMaxWindow/2 {
-		t.Fatalf("window = %d, want one halving to %d", st.Window, dataplane.DefaultMaxWindow/2)
+	if st.Size != dataplane.DefaultMaxWindow/2 {
+		t.Fatalf("window = %d, want one halving to %d", st.Size, dataplane.DefaultMaxWindow/2)
 	}
 	// The marked responses drain after the clean ones (ring order), so the
 	// surviving hint is congested and scales retry backoff.
-	if !dataplane.HintCongested(st.LastHint) {
+	if st.LastHint < dataplane.MarkHint {
 		t.Fatalf("last hint %d not congested after marked drain", st.LastHint)
 	}
 	if scale := cli.backoffScale(conn); scale < 2 {
@@ -195,8 +195,8 @@ func TestCongestionWindowRefusal(t *testing.T) {
 
 	// Clamp the window to 1 as if heavy marking had collapsed it.
 	cli.mu.Lock()
-	cli.cong[conn].window = 1
-	cli.cong[conn].lastHint = 255
+	cli.cong[conn].Size = 1
+	cli.cong[conn].LastHint = 255
 	cli.mu.Unlock()
 
 	var wg sync.WaitGroup

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dagger/internal/fabric"
-	"dagger/internal/trace"
 )
 
 // connPair builds a client and started echo server over NICs with an
@@ -26,10 +25,6 @@ func connPair(t *testing.T, connCache int) (*RpcClient, *fabric.SoftNIC, func())
 	if err := srv.Register(0, "echo", func(_ context.Context, req []byte) ([]byte, error) {
 		return req, nil
 	}); err != nil {
-		t.Fatal(err)
-	}
-	tracer := trace.NewCollector(0)
-	if err := srv.SetTracer(tracer); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Start(); err != nil {

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"dagger/internal/fabric"
-	"dagger/internal/sim"
-	"dagger/internal/trace"
 )
 
 // testPair builds a client NIC and a started echo server.
@@ -392,76 +390,10 @@ func TestServerThreadCounters(t *testing.T) {
 		}
 	}
 	var sum uint64
-	for _, th := range srv.Threads() {
+	for _, th := range srv.threads {
 		sum += th.Processed.Load()
 	}
 	if sum != 5 {
 		t.Fatalf("thread processed sum = %d, want 5", sum)
-	}
-}
-
-func TestServerTracing(t *testing.T) {
-	f := fabric.NewFabric()
-	cnic, _ := f.CreateNIC(1, 1, 64)
-	snic, _ := f.CreateNIC(2, 1, 64)
-	srv := NewRpcThreadedServer(snic, ServerConfig{Threading: WorkerThreads, Workers: 2})
-	_ = srv.Register(0, "slowop", func(_ context.Context, req []byte) ([]byte, error) {
-		time.Sleep(2 * time.Millisecond)
-		return req, nil
-	})
-	_ = srv.Register(1, "fastop", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
-	tc := trace.NewCollector(0)
-	if err := srv.SetTracer(tc); err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.Start()
-	defer srv.Stop()
-	if err := srv.SetTracer(tc); err == nil {
-		t.Fatal("SetTracer after Start accepted")
-	}
-	cli, _ := NewRpcClient(cnic, 0)
-	defer cli.Close()
-	_, _ = cli.OpenConnection(2)
-	for i := 0; i < 5; i++ {
-		if _, err := cli.Call(0, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.Call(1, []byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The server records each span after sending its response, so the last
-	// spans may land after the final call has returned.
-	spans := func() (n int) {
-		traces, _ := tc.Snapshot()
-		for _, tr := range traces {
-			n += len(tr.Spans)
-		}
-		return n
-	}
-	for deadline := time.Now().Add(2 * time.Second); spans() < 10 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	rep := tc.Analyze()
-	if rep.Bottleneck() != "slowop" {
-		t.Fatalf("bottleneck = %q, want slowop\n%s", rep.Bottleneck(), rep)
-	}
-	var slow, fast *trace.ServiceProfile
-	for i := range rep.Profiles {
-		switch rep.Profiles[i].Service {
-		case "slowop":
-			slow = &rep.Profiles[i]
-		case "fastop":
-			fast = &rep.Profiles[i]
-		}
-	}
-	if slow == nil || fast == nil {
-		t.Fatal("profiles missing")
-	}
-	if slow.Spans != 5 || fast.Spans != 5 {
-		t.Fatalf("span counts: slow=%d fast=%d", slow.Spans, fast.Spans)
-	}
-	if slow.MeanBusy() < sim.Time(time.Millisecond) {
-		t.Fatalf("slow op mean busy = %v, want >= 1ms", slow.MeanBusy())
 	}
 }

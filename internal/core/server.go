@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,8 +9,6 @@ import (
 	"dagger/internal/dataplane"
 	"dagger/internal/fabric"
 	"dagger/internal/metrics"
-	"dagger/internal/sim"
-	"dagger/internal/trace"
 	"dagger/internal/wire"
 )
 
@@ -85,8 +82,6 @@ type RpcThreadedServer struct {
 	stop    chan struct{}
 	wg      sync.WaitGroup
 	started bool
-	tracer  *trace.Collector
-	start   time.Time
 
 	// baseCtx is the parent of every handler context; Stop cancels it so
 	// in-flight handlers blocked on downstream work unwind promptly.
@@ -178,23 +173,6 @@ func (s *RpcThreadedServer) Register(fnID uint16, name string, h Handler) error 
 	return nil
 }
 
-// SetTracer attaches the lightweight request tracing system (§5.7): every
-// handled request records a span (service = registered function name, queue
-// = dispatch-to-execution wait, work = handler time). Must be called before
-// Start.
-func (s *RpcThreadedServer) SetTracer(c *trace.Collector) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return fmt.Errorf("core: set tracer after start")
-	}
-	s.tracer = c
-	return nil
-}
-
-// Threads returns the server's dispatch threads.
-func (s *RpcThreadedServer) Threads() []*RpcServerThread { return s.threads }
-
 // Start launches dispatch threads (and the worker pool if configured).
 func (s *RpcThreadedServer) Start() error {
 	s.mu.Lock()
@@ -203,7 +181,6 @@ func (s *RpcThreadedServer) Start() error {
 		return fmt.Errorf("core: server already started")
 	}
 	s.started = true
-	s.start = time.Now()
 	s.mu.Unlock()
 
 	if s.cfg.Threading == WorkerThreads {
@@ -257,12 +234,6 @@ func (s *RpcThreadedServer) dispatchLoop(t *RpcServerThread) {
 		m, err := wire.OpenFrame(frame, pool)
 		pool.Put(frame)
 		if err != nil {
-			if errors.Is(err, wire.ErrBadChecksum) && s.tracer != nil {
-				// A corrupted request never produces a trace (it is
-				// unattributable); count the drop so a corrupted-traffic
-				// profile is never mistaken for a clean one.
-				s.tracer.NoteCorruptDrop()
-			}
 			continue
 		}
 		if m.Kind != wire.KindRequest {
@@ -304,8 +275,6 @@ func (s *RpcThreadedServer) workerLoop() {
 func (s *RpcThreadedServer) process(t *RpcServerThread, m wire.Message, received, deadline time.Time) {
 	s.mu.RLock()
 	h, ok := s.handlers[m.FnID]
-	name := s.names[m.FnID]
-	tracer := s.tracer
 	s.mu.RUnlock()
 	execStart := time.Now()
 
@@ -375,20 +344,4 @@ func (s *RpcThreadedServer) process(t *RpcServerThread, m wire.Message, received
 	// Send has marshalled the response, so recycling is safe even when the
 	// handler echoed the request buffer back as the response.
 	t.flow.Buffers().Put(m.Payload)
-
-	if tracer != nil {
-		if name == "" {
-			name = fmt.Sprintf("fn-%d", m.FnID)
-		}
-		id := tracer.Begin()
-		tracer.Record(id, trace.Span{
-			Service:  name,
-			Start:    sim.Time(received.Sub(s.start)),
-			Queue:    sim.Time(execStart.Sub(received)),
-			Work:     sim.Time(time.Since(execStart)),
-			End:      sim.Time(time.Since(s.start)),
-			Marked:   m.Congested(),
-			ConnMiss: m.ConnMissed(),
-		})
-	}
 }

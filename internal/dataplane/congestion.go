@@ -6,24 +6,22 @@ package dataplane
 // occupancy has crossed the mark threshold the frame is stamped with an
 // ECN-style congestion-experienced bit plus a one-byte occupancy hint. The
 // server echoes the stamp into its response, and the client reacts: an
-// AIMD-style in-flight window (WindowOnMark / WindowOnClean) plus a backoff
-// scale for the retry policy (BackoffScale). Like every decision in this
-// package the functions are pure, integer-only, and allocation-free, so both
-// substrates reach byte-identical mark decisions from the same inputs.
+// AIMD-style in-flight window (Window) plus a backoff scale for the retry
+// policy (BackoffScale). Like every decision in this package the functions
+// are integer-only and allocation-free, so both substrates reach
+// byte-identical mark decisions from the same inputs.
 
 // MarkHint is the smallest occupancy hint that encodes a congested queue.
 // OccupancyHint quantizes depth/capacity onto [0, 255] such that
-// HintCongested(OccupancyHint(d, c)) == Mark(d, c) exactly.
+// OccupancyHint(d, c) >= MarkHint exactly when Mark(d, c).
 const MarkHint uint8 = 128
 
-// Default AIMD window bounds for clients that do not configure their own.
-// The max is deliberately far above any bounded ring on the data path: an
-// unmarked connection behaves as if no window existed at all, so enabling
-// the control loop is inert until a queue actually reports congestion.
-const (
-	DefaultMinWindow = 1
-	DefaultMaxWindow = 1 << 16
-)
+// DefaultMaxWindow is the AIMD window ceiling for clients that do not
+// configure their own. It is deliberately far above any bounded ring on the
+// data path: an unmarked connection behaves as if no window existed at all,
+// so enabling the control loop is inert until a queue actually reports
+// congestion.
+const DefaultMaxWindow = 1 << 16
 
 // Mark is the congestion-mark decision for a bounded queue: an item admitted
 // when the queue already holds depth items is marked once occupancy has
@@ -40,7 +38,7 @@ func Mark(depth, capacity int) bool {
 // OccupancyHint quantizes a queue's occupancy onto one byte for the wire's
 // occupancy-hint field: 0 is empty (or unbounded), 255 is at or beyond
 // capacity. Rounding is chosen so the hint and the mark bit agree exactly:
-// HintCongested(OccupancyHint(d, c)) == Mark(d, c) for every d, c.
+// OccupancyHint(d, c) >= MarkHint exactly when Mark(d, c), for every d, c.
 func OccupancyHint(depth, capacity int) uint8 {
 	if capacity <= 0 || depth <= 0 {
 		return 0
@@ -51,39 +49,57 @@ func OccupancyHint(depth, capacity int) uint8 {
 	return uint8((255*depth + capacity/2) / capacity)
 }
 
-// HintCongested reports whether a wire occupancy hint encodes a congested
-// queue (hint >= MarkHint).
-func HintCongested(hint uint8) bool { return hint >= MarkHint }
-
-// WindowOnMark is the multiplicative-decrease reaction to a congestion mark:
-// the in-flight window halves, floored at min (and never below 1, so a
-// marked connection still makes progress).
-func WindowOnMark(window, min int) int {
-	if min < 1 {
-		min = 1
-	}
-	window /= 2
-	if window < min {
-		return min
-	}
-	return window
+// Window is one connection's congestion control loop: an AIMD in-flight
+// window driven by the marks echoed in responses, plus the hint that scales
+// the retry backoff. The functional client keeps one per connection and the
+// timing-model congestion point keeps one per run; neither is safe for
+// concurrent use, so callers serialise access.
+type Window struct {
+	Size     int    // current in-flight cap
+	Max      int    // additive-increase ceiling
+	InFlight int    // issued and not yet completed or abandoned
+	Marks    uint64 // responses that carried a congestion mark
+	Cleans   uint64 // responses that did not
+	LastHint uint8  // occupancy hint of the most recent marked response (0 after a clean one)
+	epoch    uint64 // halve at most once per window: marks with seq <= epoch are absorbed
 }
 
-// WindowOnClean is the additive-increase reaction to an unmarked completion:
-// the in-flight window grows by one, capped at max (max <= 0 means
-// unbounded growth is capped at DefaultMaxWindow).
-func WindowOnClean(window, max int) int {
-	if max <= 0 {
-		max = DefaultMaxWindow
+// NewWindow returns a window opened to its ceiling, so it never binds until
+// a mark arrives.
+func NewWindow(ceiling int) Window { return Window{Size: ceiling, Max: ceiling} }
+
+// Full reports whether the window refuses another issue.
+func (w *Window) Full() bool { return w.InFlight >= w.Size }
+
+// Release frees the in-flight slot of a call that will get no response.
+func (w *Window) Release() {
+	if w.InFlight > 0 {
+		w.InFlight--
 	}
-	window++
-	if window > max {
-		return max
+}
+
+// OnResponse frees a response's in-flight slot and applies its signal. A
+// marked response halves the window (multiplicative decrease, never below 1
+// so a marked connection still makes progress) at most once per in-flight
+// window: one whose seq is at or below the sequence issued when the window
+// last halved echoes the same congestion event and is absorbed. issued is the
+// latest sequence issued so far, which becomes that epoch on a halving. A
+// clean response grows the window by one up to Max (additive increase) and
+// clears the backoff hint.
+func (w *Window) OnResponse(seq, issued uint64, marked bool, hint uint8) {
+	w.Release()
+	if marked {
+		w.Marks++
+		w.LastHint = hint
+		if seq > w.epoch {
+			w.Size = max(w.Size/2, 1)
+			w.epoch = issued
+		}
+		return
 	}
-	if window < 1 {
-		return 1
-	}
-	return window
+	w.Cleans++
+	w.LastHint = 0
+	w.Size = min(w.Size+1, w.Max)
 }
 
 // BackoffScale maps the most recent occupancy hint to an integer multiplier

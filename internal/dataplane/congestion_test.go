@@ -53,15 +53,15 @@ func TestOccupancyHintRange(t *testing.T) {
 
 // TestHintAgreesWithMark pins the quantization contract: the one-byte hint
 // carries enough information to reconstruct the mark decision exactly, for
-// every depth and capacity. The client's HintCongested and the queue's Mark
-// must never disagree or the two ends of the loop see different worlds.
+// every depth and capacity. The client's hint >= MarkHint and the queue's
+// Mark must never disagree or the two ends of the loop see different worlds.
 func TestHintAgreesWithMark(t *testing.T) {
 	for capacity := 1; capacity <= 257; capacity++ {
 		for depth := 0; depth <= capacity+3; depth++ {
 			mark := Mark(depth, capacity)
-			hint := HintCongested(OccupancyHint(depth, capacity))
+			hint := OccupancyHint(depth, capacity) >= MarkHint
 			if mark != hint {
-				t.Fatalf("depth %d capacity %d: Mark=%v but HintCongested(hint)=%v",
+				t.Fatalf("depth %d capacity %d: Mark=%v but hint>=MarkHint=%v",
 					depth, capacity, mark, hint)
 			}
 		}
@@ -69,46 +69,63 @@ func TestHintAgreesWithMark(t *testing.T) {
 }
 
 func TestWindowAIMD(t *testing.T) {
-	if got := WindowOnMark(64, 1); got != 32 {
-		t.Errorf("WindowOnMark(64, 1) = %d, want 32", got)
+	mark := func(size int) int {
+		w := NewWindow(size)
+		w.OnResponse(1, 0, true, MarkHint)
+		return w.Size
 	}
-	if got := WindowOnMark(3, 1); got != 1 {
-		t.Errorf("WindowOnMark(3, 1) = %d, want 1", got)
+	for _, c := range []struct{ size, want int }{{64, 32}, {3, 1}, {1, 1}} {
+		if got := mark(c.size); got != c.want {
+			t.Errorf("mark on window %d = %d, want %d (halved, never below 1)", c.size, got, c.want)
+		}
 	}
-	if got := WindowOnMark(1, 1); got != 1 {
-		t.Errorf("WindowOnMark(1, 1) = %d, want 1 (never below 1)", got)
+	w := Window{Size: 64, Max: 128}
+	w.OnResponse(1, 0, false, 0)
+	if w.Size != 65 {
+		t.Errorf("clean on window 64 = %d, want 65", w.Size)
 	}
-	if got := WindowOnMark(64, 16); got != 32 {
-		t.Errorf("WindowOnMark(64, 16) = %d, want 32", got)
-	}
-	if got := WindowOnMark(20, 16); got != 16 {
-		t.Errorf("WindowOnMark(20, 16) = %d, want floor 16", got)
-	}
-	if got := WindowOnMark(2, 0); got != 1 {
-		t.Errorf("WindowOnMark(2, 0) = %d, want 1 (min clamped to 1)", got)
-	}
-	if got := WindowOnClean(64, 128); got != 65 {
-		t.Errorf("WindowOnClean(64, 128) = %d, want 65", got)
-	}
-	if got := WindowOnClean(128, 128); got != 128 {
-		t.Errorf("WindowOnClean(128, 128) = %d, want cap 128", got)
-	}
-	if got := WindowOnClean(5, 0); got != 6 {
-		t.Errorf("WindowOnClean(5, 0) = %d, want 6 (default cap)", got)
-	}
-	if got := WindowOnClean(0, 8); got != 1 {
-		t.Errorf("WindowOnClean(0, 8) = %d, want 1", got)
+	w = NewWindow(128)
+	w.OnResponse(1, 0, false, 0)
+	if w.Size != 128 {
+		t.Errorf("clean at the cap = %d, want cap 128", w.Size)
 	}
 	// Decrease must dominate increase: one mark undoes many cleans.
-	w := 64
+	w = Window{Size: 64, Max: 128}
 	for i := 0; i < 31; i++ {
-		w = WindowOnClean(w, 128)
+		w.OnResponse(1, 0, false, 0)
 	}
-	if w != 95 {
-		t.Fatalf("31 cleans from 64 = %d, want 95", w)
+	if w.Size != 95 {
+		t.Fatalf("31 cleans from 64 = %d, want 95", w.Size)
 	}
-	if w = WindowOnMark(w, 1); w != 47 {
-		t.Fatalf("one mark after growth = %d, want 47", w)
+	if w.OnResponse(2, 0, true, MarkHint); w.Size != 47 {
+		t.Fatalf("one mark after growth = %d, want 47", w.Size)
+	}
+}
+
+// TestWindowEpochGuard pins the loop both substrates share: one halving per
+// in-flight window, additive growth on clean responses, and Release freeing
+// a slot without a signal.
+func TestWindowEpochGuard(t *testing.T) {
+	w := NewWindow(8)
+	for i := 0; i < 8; i++ {
+		if w.Full() {
+			t.Fatalf("window full after %d issues, want 8", i)
+		}
+		w.InFlight++
+	}
+	if !w.Full() {
+		t.Fatal("window of 8 not full with 8 in flight")
+	}
+	w.OnResponse(1, 8, true, 200) // halves; calls up to seq 8 are this event
+	w.OnResponse(2, 8, true, 210) // absorbed by the epoch guard
+	if w.Size != 4 || w.Marks != 2 || w.LastHint != 210 || w.InFlight != 6 {
+		t.Fatalf("after two marks: %+v, want size 4, 2 marks, hint 210, 6 in flight", w)
+	}
+	w.OnResponse(9, 9, true, 200) // issued after the halving: a new event
+	w.OnResponse(3, 9, false, 0)
+	w.Release()
+	if w.Size != 3 || w.Cleans != 1 || w.LastHint != 0 || w.InFlight != 3 {
+		t.Fatalf("after a new mark, a clean and a release: %+v, want size 3, 1 clean, hint 0, 3 in flight", w)
 	}
 }
 

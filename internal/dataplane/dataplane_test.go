@@ -169,6 +169,7 @@ func TestDecisionFunctionsZeroAlloc(t *testing.T) {
 	in := SteerInput{NFlows: 8, ConnFlow: 3, HasConn: true, Key: key, RR: 41}
 	var sink uint16
 	var sinkB bool
+	w := NewWindow(DefaultMaxWindow)
 	checks := []struct {
 		name string
 		fn   func()
@@ -183,9 +184,7 @@ func TestDecisionFunctionsZeroAlloc(t *testing.T) {
 		{"Admit", func() { sinkB = Admit(3, 4) }},
 		{"Mark", func() { sinkB = Mark(9, 16) }},
 		{"OccupancyHint", func() { sinkB = OccupancyHint(9, 16) > 0 }},
-		{"HintCongested", func() { sinkB = HintCongested(200) }},
-		{"WindowOnMark", func() { sink = uint16(WindowOnMark(64, 1)) }},
-		{"WindowOnClean", func() { sink = uint16(WindowOnClean(64, 128)) }},
+		{"Window.OnResponse", func() { w.OnResponse(2, 3, true, 200) }},
 		{"BackoffScale", func() { sink = uint16(BackoffScale(200)) }},
 	}
 	for _, c := range checks {

@@ -81,7 +81,7 @@ type CongestionResult struct {
 	Dropped int
 	// DeadlineMisses counts completions that arrived after the budget.
 	DeadlineMisses int
-	// FinalWindow is the AIMD window when the run ended (congWindowMax when
+	// FinalWindow is the AIMD window when the run ended (DefaultMaxWindow when
 	// marking is off: the loop never engages).
 	FinalWindow int
 }
@@ -137,17 +137,14 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 	serverCore := sim.NewResource(eng, 1)
 
 	res := &CongestionResult{OfferedRPS: cfg.OfferedRPS, Latency: stats.NewHistogram()}
-	// Client congestion state, mirroring core.RpcClient's per-connection
-	// loop: AIMD window, epoch guard (halve at most once per in-flight
-	// window), and the last marked completion's occupancy hint scaling the
-	// retry backoff schedule.
-	window := congWindowMax
-	inflight := 0
-	var issuedSeq, completedSeq, epoch uint64
-	var lastHint uint8
+	// The client's congestion window, the same loop core.RpcClient keeps
+	// per connection. Its epoch guard compares completion order against
+	// issue order, as the client compares RPC ids.
+	win := dataplane.NewWindow(congWindowMax)
+	var issuedSeq, completedSeq uint64
 	if !cfg.Marked {
-		// Open loop: the window never binds and marks are not applied.
-		window = dataplane.DefaultMaxWindow
+		// Open loop: the window never binds and no response is marked.
+		win = dataplane.NewWindow(dataplane.DefaultMaxWindow)
 	}
 	pol := retry.Policy{
 		Base: time.Duration(service), Max: time.Duration(64 * service), Multiplier: 2,
@@ -156,8 +153,8 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 	var firstArrival, lastCompletion sim.Time
 	inBudget := 0
 	complete := func(arrival, sent sim.Time, marked bool, hint uint8) {
-		inflight--
 		completedSeq++
+		win.OnResponse(completedSeq, issuedSeq, marked, hint)
 		total := eng.Now() - arrival
 		res.Completed++
 		res.Latency.Record(int64(eng.Now() - sent))
@@ -168,19 +165,6 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 		}
 		if eng.Now() > lastCompletion {
 			lastCompletion = eng.Now()
-		}
-		if cfg.Marked {
-			if marked {
-				res.Marks++
-				lastHint = hint
-				if completedSeq > epoch {
-					window = dataplane.WindowOnMark(window, 1)
-					epoch = issuedSeq
-				}
-			} else {
-				lastHint = 0
-				window = dataplane.WindowOnClean(window, congWindowMax)
-			}
 		}
 	}
 
@@ -195,9 +179,9 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 			res.GaveUp++
 			return
 		}
-		if inflight >= window {
+		if win.Full() {
 			res.Refused++
-			d := pol.ScaledBackoff(try, dataplane.BackoffScale(lastHint))
+			d := pol.ScaledBackoff(try, dataplane.BackoffScale(win.LastHint))
 			eng.After(sim.Time(d), func() { attempt(start, try+1) })
 			return
 		}
@@ -211,7 +195,7 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 		if marked {
 			hint = dataplane.OccupancyHint(depth, congQueueCap)
 		}
-		inflight++
+		win.InFlight++
 		issuedSeq++
 		sent := eng.Now()
 		serverCore.Acquire(func() {
@@ -238,7 +222,8 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 	eng.After(0, arrive)
 	eng.Run()
 
-	res.FinalWindow = window
+	res.Marks = int(win.Marks)
+	res.FinalWindow = win.Size
 	if elapsed := lastCompletion - firstArrival; elapsed > 0 {
 		res.GoodputRPS = float64(inBudget) / (float64(elapsed) / 1e9)
 	}

@@ -220,9 +220,6 @@ func NewInjector(cfg Config) (*Injector, error) {
 	return inj, nil
 }
 
-// Config returns the injector's configuration.
-func (i *Injector) Config() Config { return i.cfg }
-
 // Next consumes and returns the next verdict in the sequence.
 func (i *Injector) Next() Verdict {
 	return VerdictAt(i.cfg, i.next.Add(1)-1)

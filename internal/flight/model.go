@@ -151,10 +151,7 @@ func (t *modelTier) handle(traceID uint64, tr *trace.Collector, work sim.Time,
 				queue := t.eng.Now() - arrival - rxDispatch - work
 				body(func() {
 					if tr != nil {
-						tr.Record(traceID, trace.Span{
-							Service: t.name, Start: arrival, Queue: queue,
-							Work: work, End: t.eng.Now(),
-						})
+						tr.Record(traceID, trace.Span{Service: t.name, Queue: queue, Work: work})
 					}
 					t.dispatch.Release()
 				})
@@ -175,10 +172,7 @@ func (t *modelTier) handle(traceID uint64, tr *trace.Collector, work sim.Time,
 					queue := t.eng.Now() - arrival - rxDispatch - handoffCost - work
 					body(func() {
 						if tr != nil {
-							tr.Record(traceID, trace.Span{
-								Service: t.name, Start: arrival, Queue: queue,
-								Work: work, End: t.eng.Now(),
-							})
+							tr.Record(traceID, trace.Span{Service: t.name, Queue: queue, Work: work})
 						}
 						t.workers.Release()
 					})

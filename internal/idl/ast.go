@@ -68,43 +68,10 @@ type Field struct {
 	ArrayLen int // for TypeChar
 }
 
-// WireSize returns the field's encoded size; variable-length fields return
-// (minimum, false).
-func (f Field) WireSize() (int, bool) {
-	switch f.Kind {
-	case TypeInt32, TypeUint32:
-		return 4, true
-	case TypeInt64, TypeUint64:
-		return 8, true
-	case TypeBool:
-		return 1, true
-	case TypeChar:
-		return f.ArrayLen, true
-	case TypeBytes, TypeString:
-		return 2, false
-	default:
-		return 0, false
-	}
-}
-
 // Message is a named record type.
 type Message struct {
 	Name   string
 	Fields []Field
-}
-
-// FixedWireSize returns the message's encoded size if every field is
-// fixed-width.
-func (m Message) FixedWireSize() (int, bool) {
-	total := 0
-	for _, f := range m.Fields {
-		n, fixed := f.WireSize()
-		if !fixed {
-			return 0, false
-		}
-		total += n
-	}
-	return total, true
 }
 
 // Method is one rpc declaration in a service.

@@ -32,13 +32,3 @@ Service Health {
 	// true
 	// true
 }
-
-// ExampleMessage_FixedWireSize shows layout introspection for fixed-width
-// messages.
-func ExampleMessage_FixedWireSize() {
-	file, _ := idl.Parse(`Message Point { int32 x; int32 y; char[8] tag; }`)
-	m, _ := file.Message("Point")
-	size, fixed := m.FixedWireSize()
-	fmt.Println(size, fixed)
-	// Output: 16 true
-}

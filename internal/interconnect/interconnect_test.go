@@ -151,8 +151,10 @@ func TestEndpointRateCap(t *testing.T) {
 		eng.After(gap, offer)
 	}
 	eng.After(0, offer)
-	eng.RunUntil(1 * sim.Millisecond)
-	rate := float64(completed) / 1e-3 / 1e6 // Mrps
+	var atMs int
+	eng.At(1*sim.Millisecond, func() { atMs = completed })
+	eng.Run()
+	rate := float64(atMs) / 1e-3 / 1e6 // Mrps
 	if rate < 38 || rate > 45 {
 		t.Fatalf("endpoint-capped rate = %.1f Mrps, want ~41.7", rate)
 	}

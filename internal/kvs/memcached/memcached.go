@@ -179,25 +179,3 @@ func (s *Store) Delete(key string) bool {
 	sh.bytes -= itemBytes(key, e.item.Value)
 	return true
 }
-
-// Len returns the total number of stored items.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Bytes returns the approximate resident size.
-func (s *Store) Bytes() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.bytes
-		sh.mu.Unlock()
-	}
-	return n
-}

@@ -133,11 +133,6 @@ func (mc *Client) call(ctx context.Context, fnID uint16, req []byte) ([]byte, er
 	return mc.c.CallContext(ctx, fnID, req)
 }
 
-// Get fetches key; a NOT_FOUND reply maps back to ErrNotFound.
-func (mc *Client) Get(key string) (Item, error) {
-	return mc.GetContext(context.Background(), key)
-}
-
 // GetContext is Get under ctx's deadline/cancellation.
 func (mc *Client) GetContext(ctx context.Context, key string) (Item, error) {
 	e := wire.NewEncoder(nil)
@@ -173,45 +168,4 @@ func (mc *Client) SetContext(ctx context.Context, key string, value []byte, flag
 	d := wire.NewDecoder(out)
 	cas := d.Uint64()
 	return cas, d.Err()
-}
-
-// Delete removes key; it reports whether the key existed.
-func (mc *Client) Delete(key string) (bool, error) {
-	return mc.DeleteContext(context.Background(), key)
-}
-
-// DeleteContext is Delete under ctx's deadline/cancellation.
-func (mc *Client) DeleteContext(ctx context.Context, key string) (bool, error) {
-	e := wire.NewEncoder(nil)
-	e.Bytes16([]byte(key))
-	out, err := mc.call(ctx, FnDelete, e.Bytes())
-	if err != nil {
-		return false, err
-	}
-	d := wire.NewDecoder(out)
-	existed := d.Bool()
-	return existed, d.Err()
-}
-
-// CompareAndSwap updates key only if cas matches the stored token, keeping
-// memcached's STORED / NOT_FOUND / EXISTS semantics across the wire.
-func (mc *Client) CompareAndSwap(key string, value []byte, flags uint32, cas uint64) (uint64, error) {
-	e := wire.NewEncoder(nil)
-	e.Bytes16([]byte(key))
-	e.Uint32(flags)
-	e.Uint64(cas)
-	e.Bytes16(value)
-	out, err := mc.call(context.Background(), FnCAS, e.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	d := wire.NewDecoder(out)
-	switch d.Uint32() {
-	case casNotFound:
-		return 0, ErrNotFound
-	case casExists:
-		return 0, ErrCASMismatch
-	}
-	newCAS := d.Uint64()
-	return newCAS, d.Err()
 }

@@ -74,9 +74,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the level.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the level by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
@@ -121,17 +118,8 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
-
 // Sum returns the running sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Quantile returns the lower bound of the bucket containing the p-th
-// percentile observation, p in [0, 100]. Empty histograms return 0.
-func (h *Histogram) Quantile(p float64) int64 {
-	return quantileFromBuckets(h.snapshotBuckets(), p)
-}
 
 // snapshotBuckets collects the non-empty buckets in ascending value order.
 func (h *Histogram) snapshotBuckets() []Bucket {

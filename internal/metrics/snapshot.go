@@ -1,9 +1,7 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -200,12 +198,4 @@ func bucketsEqual(a, b []Bucket) bool {
 		}
 	}
 	return true
-}
-
-// WriteJSON writes the snapshot as indented JSON. Sample order (sorted by
-// name) makes the output byte-stable for identical snapshots.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

@@ -225,13 +225,6 @@ func (r *runner) visit(c Call, req *reqState, done func(net, comp sim.Time)) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func (r *runner) visitOnce(tier *Tier, ts *TierStats, c Call, req *reqState, done func(net, comp sim.Time)) {
 	// Sample this visit's costs.
 	compute := tier.ComputeMean

@@ -54,9 +54,6 @@ func NewConnectionManager(size int) *ConnectionManager {
 	return &ConnectionManager{cache: connstate.New[ConnTuple](size)}
 }
 
-// Size returns the cache size in entries.
-func (cm *ConnectionManager) Size() int { return cm.cache.Size() }
-
 // Open registers a connection. The entry is written to the cache slot
 // indexed by the connection ID's LSBs, displacing any conflicting entry to
 // the host backing store.

@@ -39,14 +39,15 @@ func TestRxPathFaultReadySignal(t *testing.T) {
 	if rx.Deliver(RxEntry{RPCID: 3}) || rx.Deliver(RxEntry{RPCID: 4}) {
 		t.Fatal("held entries reported a ready batch")
 	}
-	if !rx.FlushFaults() {
+	rx.faults.Flush()
+	if len(rx.pending) != 2 {
 		t.Fatal("flush of two held entries did not make the batch pending")
 	}
 	rx.Deliver(RxEntry{RPCID: 5})
 	rx.SetFaultInjector(nil)
-	if len(rx.buf) != 1 || rx.Pending() != 2 {
+	if len(rx.buf) != 1 || len(rx.pending) != 2 {
 		t.Fatalf("after uninstall: buffered %d pending %d, want the released entry buffered behind the flushed batch",
-			len(rx.buf), rx.Pending())
+			len(rx.buf), len(rx.pending))
 	}
 	reg := metrics.New()
 	rx.DescribeMetrics(reg)

@@ -290,8 +290,8 @@ func TestRxPathBatching(t *testing.T) {
 	if !rx.Deliver(RxEntry{RPCID: 3}) {
 		t.Fatal("4th entry did not complete the batch")
 	}
-	if len(rx.buf) != 0 || rx.Pending() != 4 {
-		t.Fatalf("buffered=%d pending=%d", len(rx.buf), rx.Pending())
+	if len(rx.buf) != 0 || len(rx.pending) != 4 {
+		t.Fatalf("buffered=%d pending=%d", len(rx.buf), len(rx.pending))
 	}
 	got := rx.Complete(0)
 	if len(got) != 4 {
@@ -304,20 +304,6 @@ func TestRxPathBatching(t *testing.T) {
 	}
 	if rx.Batches.Load() != 1 || rx.Delivered.Load() != 4 {
 		t.Fatalf("counters: batches=%d delivered=%d", rx.Batches.Load(), rx.Delivered.Load())
-	}
-}
-
-func TestRxPathFlushPartialBatch(t *testing.T) {
-	rx := NewRxPath(4, 16)
-	rx.Deliver(RxEntry{RPCID: 1})
-	if !rx.Flush() {
-		t.Fatal("flush of partial batch failed")
-	}
-	if rx.Flush() {
-		t.Fatal("flush of empty buffer reported work")
-	}
-	if got := rx.Complete(0); len(got) != 1 || got[0].RPCID != 1 {
-		t.Fatalf("flush delivery: %v", got)
 	}
 }
 
@@ -375,7 +361,7 @@ func TestRxPathCompleteBounded(t *testing.T) {
 	if got := rx.Complete(2); len(got) != 2 {
 		t.Fatalf("bounded complete = %d", len(got))
 	}
-	if rx.Pending() != 3 {
-		t.Fatalf("pending = %d", rx.Pending())
+	if len(rx.pending) != 3 {
+		t.Fatalf("pending = %d", len(rx.pending))
 	}
 }

@@ -35,7 +35,7 @@ type RxPath struct {
 	// Chaos plane: the shared fault stage (faults.Stage) ahead of buffer
 	// admission, idle until SetFaultInjector.
 	faults *faults.Stage[RxEntry]
-	// ready records whether any admission since Deliver or FlushFaults last
+	// ready records whether any admission since Deliver last
 	// cleared it completed a batch — one faulted Deliver can make several.
 	ready bool
 
@@ -96,16 +96,6 @@ func NewRxPath(batch, capEntries int) *RxPath {
 // any entries a previous stage was still holding, in hold order.
 func (r *RxPath) SetFaultInjector(inj *faults.Injector) { r.faults.SetInjector(inj) }
 
-// FlushFaults releases every entry the fault stage is holding back (Delay
-// and Reorder verdicts not yet due) in hold order, reporting whether a batch
-// became pending. Drivers call it when draining a faulted path so every
-// admitted entry is accounted for.
-func (r *RxPath) FlushFaults() (ready bool) {
-	r.ready = false
-	r.faults.Flush()
-	return r.ready
-}
-
 // Deliver places one received RPC into the RX buffer, through the fault
 // stage when an injector is installed. When a full batch has accumulated, it
 // is moved to the pending completion set and ready=true is returned.
@@ -146,18 +136,6 @@ func (r *RxPath) admit(e RxEntry) bool {
 	return true
 }
 
-// Flush forces a partial batch out (the soft-configured batch timeout under
-// low load). It reports whether anything became pending.
-func (r *RxPath) Flush() bool {
-	if len(r.buf) == 0 {
-		return false
-	}
-	r.pending = append(r.pending, r.buf...)
-	r.buf = r.buf[:0]
-	r.Batches.Inc()
-	return true
-}
-
 // Complete drains up to max pending entries to the completion queue
 // (all if max <= 0), freeing their buffer slots.
 func (r *RxPath) Complete(max int) []RxEntry {
@@ -171,6 +149,3 @@ func (r *RxPath) Complete(max int) []RxEntry {
 	r.Delivered.Add(uint64(n))
 	return out
 }
-
-// Pending returns the entries awaiting completion-queue pickup.
-func (r *RxPath) Pending() int { return len(r.pending) }

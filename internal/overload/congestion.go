@@ -122,7 +122,7 @@ func RunCongestion(cfg CongestionConfig) (*CongestionResult, error) {
 	res.Marks = cli.Marks.Load()
 	res.Refused = cli.Refused.Load()
 	if st, ok := cli.Congestion(r.conn); ok {
-		res.FinalWindow = st.Window
+		res.FinalWindow = st.Size
 	}
 	res.P50, res.P99 = latPercentiles(latencies)
 	if res.Completed == 0 {

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// Policy describes a backoff schedule. The zero value is not useful; start
-// from Default and override fields.
+// Policy describes a backoff schedule. The zero value is not useful; set at
+// least MaxAttempts, Base, Max and Multiplier.
 type Policy struct {
 	// MaxAttempts bounds the total number of tries (first call included).
 	MaxAttempts int
@@ -29,17 +29,6 @@ type Policy struct {
 	// Seed feeds the deterministic jitter stream. Two policies with equal
 	// fields produce identical schedules.
 	Seed uint64
-}
-
-// Default is a conservative schedule: 3 attempts, 1ms base doubling to a 50ms
-// cap, 20% jitter.
-var Default = Policy{
-	MaxAttempts: 3,
-	Base:        time.Millisecond,
-	Max:         50 * time.Millisecond,
-	Multiplier:  2,
-	Jitter:      0.2,
-	Seed:        0x9E3779B97F4A7C15,
 }
 
 // ErrBudgetExhausted reports that the remaining deadline budget cannot absorb

@@ -30,8 +30,11 @@ func TestBackoffMonotoneAndCapped(t *testing.T) {
 }
 
 func TestBackoffJitterDeterministic(t *testing.T) {
-	p := Default
-	q := Default
+	p := Policy{
+		MaxAttempts: 3, Base: time.Millisecond, Max: 50 * time.Millisecond,
+		Multiplier: 2, Jitter: 0.2, Seed: 0x9E3779B97F4A7C15,
+	}
+	q := p
 	for a := 1; a <= 5; a++ {
 		if p.Backoff(a) != q.Backoff(a) {
 			t.Fatalf("attempt %d: equal policies disagree", a)

@@ -28,20 +28,6 @@ type BufPool struct {
 	puts metrics.Counter
 }
 
-// DescribeMetrics registers the pool's loan counters and a parked-buffer
-// occupancy gauge into reg.
-func (p *BufPool) DescribeMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("pool.gets", &p.gets)
-	reg.RegisterCounter("pool.puts", &p.puts)
-	reg.Func("pool.occupancy", func() int64 {
-		var parked int64
-		for _, r := range p.rings {
-			parked += int64(r.Len())
-		}
-		return parked
-	})
-}
-
 // Loans returns the number of buffers handed out by Get and relinquished via
 // Put. A steady-state imbalance (gets > puts after all traffic drains) means
 // some consumer kept a pooled buffer without repaying it.

@@ -25,9 +25,6 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
-// Float64 returns t as a float64 number of nanoseconds.
-func (t Time) Float64() float64 { return float64(t) }
-
 func (t Time) String() string {
 	switch {
 	case t >= Second:
@@ -69,10 +66,9 @@ func (h *eventHeap) Pop() interface{} {
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	stopped bool
+	now    Time
+	seq    uint64
+	events eventHeap
 }
 
 // NewEngine returns an engine with the clock at zero and no pending events.
@@ -82,9 +78,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending reports the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.events) }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the past
 // (t < Now) panics: it would silently reorder causality.
@@ -113,24 +106,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run fires events until none remain or Stop is called.
+// Run fires events until none remain.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
-
-// RunUntil fires events with timestamps <= deadline, then advances the clock
-// to the deadline. Events scheduled past the deadline remain pending.
-func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped && len(e.events) > 0 && e.events[0].at <= deadline {
-		e.Step()
-	}
-	if !e.stopped && e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (e *Engine) Stop() { e.stopped = true }

@@ -44,9 +44,3 @@ func (q *Queue) Pop() (interface{}, bool) {
 	q.Dequeued++
 	return v, true
 }
-
-// Len returns the current occupancy.
-func (q *Queue) Len() int { return len(q.items) }
-
-// Cap returns the configured capacity (0 = unbounded).
-func (q *Queue) Cap() int { return q.cap }

@@ -70,39 +70,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		e.At(Time(i*10), func() { fired++ })
-	}
-	e.RunUntil(55)
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
-	}
-	if e.Now() != 55 {
-		t.Fatalf("clock = %v, want 55", e.Now())
-	}
-	e.Run()
-	if fired != 10 {
-		t.Fatalf("fired = %d, want 10 after Run", fired)
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.At(1, func() { fired++; e.Stop() })
-	e.At(2, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (Stop should halt)", fired)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
 // Property: however events are scheduled, they fire in nondecreasing time
 // order and the clock matches each event's timestamp.
 func TestEngineOrderingProperty(t *testing.T) {
@@ -221,8 +188,8 @@ func TestQueueStats(t *testing.T) {
 	if q.MaxLen != max {
 		t.Fatalf("MaxLen = %d, want %d", q.MaxLen, max)
 	}
-	if int(q.Enqueued-q.Dequeued) != q.Len() {
-		t.Fatalf("enqueued-dequeued=%d, len=%d", q.Enqueued-q.Dequeued, q.Len())
+	if int(q.Enqueued-q.Dequeued) != len(q.items) {
+		t.Fatalf("enqueued-dequeued=%d, len=%d", q.Enqueued-q.Dequeued, len(q.items))
 	}
 }
 

@@ -12,7 +12,7 @@ func ExampleHistogram() {
 	for i := int64(1); i <= 1000; i++ {
 		h.Record(i * 100) // 100ns .. 100us
 	}
-	fmt.Println(h.Count(), h.Min(), h.Max())
+	fmt.Println(h.Count(), h.Percentile(0), h.Max())
 	fmt.Println(h.Percentile(50) >= 48_000 && h.Percentile(50) <= 52_000)
 	// Output:
 	// 1000 100 100000

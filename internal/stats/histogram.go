@@ -1,13 +1,12 @@
 // Package stats provides the measurement primitives used across Dagger's
 // experiment harness: log-bucketed latency histograms with percentile
-// queries, running summaries, and CDFs over discrete size distributions.
+// queries, and CDFs over discrete size distributions.
 package stats
 
 import (
-	"fmt"
 	"math"
+	"math/bits"
 	"sort"
-	"strings"
 )
 
 // Histogram is a latency histogram with logarithmically spaced buckets
@@ -19,7 +18,6 @@ type Histogram struct {
 
 	counts []uint64
 	total  uint64
-	sum    float64
 	min    int64
 	max    int64
 }
@@ -52,7 +50,7 @@ func BucketIndex(subBits uint, v int64) int {
 		return int(v)
 	}
 	// Position of the leading bit above the linear range.
-	lead := 63 - leadingZeros64(uint64(v))
+	lead := 63 - bits.LeadingZeros64(uint64(v))
 	octave := lead - int(subBits)
 	offset := (v >> uint(octave)) - sub // 0..sub-1 within the octave
 	return int(sub) + octave*int(sub) + int(offset)
@@ -86,18 +84,6 @@ func (h *Histogram) bucketIndex(v int64) int { return BucketIndex(h.subBits, v) 
 // bucketIndex, used for percentile reconstruction).
 func (h *Histogram) bucketLow(i int) int64 { return BucketLow(h.subBits, i) }
 
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
-}
-
 // Record adds one observation.
 func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
 
@@ -112,7 +98,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	}
 	h.counts[idx] += n
 	h.total += n
-	h.sum += float64(v) * float64(n)
 	if v < h.min {
 		h.min = v
 	}
@@ -124,22 +109,6 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total }
 
-// Mean returns the arithmetic mean of recorded values, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Min returns the smallest recorded value, or 0 when empty.
-func (h *Histogram) Min() int64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.min
-}
-
 // Max returns the largest recorded value, or 0 when empty.
 func (h *Histogram) Max() int64 {
 	if h.total == 0 {
@@ -149,8 +118,8 @@ func (h *Histogram) Max() int64 {
 }
 
 // Percentile returns the value at quantile p in [0, 100]. The result is the
-// lower bound of the bucket containing the p-th observation, clamped to
-// [Min, Max]. Empty histograms return 0.
+// lower bound of the bucket containing the p-th observation, clamped to the
+// smallest and largest recorded values. Empty histograms return 0.
 func (h *Histogram) Percentile(p float64) int64 {
 	if h.total == 0 {
 		return 0
@@ -180,53 +149,6 @@ func (h *Histogram) Percentile(p float64) int64 {
 		}
 	}
 	return h.max
-}
-
-// Reset clears all recorded observations.
-func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
-	h.total = 0
-	h.sum = 0
-	h.min = math.MaxInt64
-	h.max = math.MinInt64
-}
-
-// Merge adds all observations from o into h. The histograms must have the
-// same precision.
-func (h *Histogram) Merge(o *Histogram) {
-	if h.subBits != o.subBits {
-		panic("stats: merging histograms of different precision")
-	}
-	for len(h.counts) < len(o.counts) {
-		h.counts = append(h.counts, 0)
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-}
-
-// Summary formats count/mean/p50/p90/p99/max with a unit divisor (e.g. 1000
-// for printing nanosecond records as microseconds).
-func (h *Histogram) Summary(unit float64, unitName string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.2f%s p50=%.2f%s p90=%.2f%s p99=%.2f%s max=%.2f%s",
-		h.total,
-		h.Mean()/unit, unitName,
-		float64(h.Percentile(50))/unit, unitName,
-		float64(h.Percentile(90))/unit, unitName,
-		float64(h.Percentile(99))/unit, unitName,
-		float64(h.Max())/unit, unitName)
-	return b.String()
 }
 
 // CDF describes an empirical cumulative distribution over int64 values.
@@ -271,6 +193,3 @@ func (c *CDF) Quantile(q float64) int64 {
 	}
 	return c.vals[idx]
 }
-
-// Len returns the number of observations.
-func (c *CDF) Len() int { return len(c.vals) }

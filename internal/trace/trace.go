@@ -10,30 +10,15 @@ import (
 	"sort"
 	"sync"
 
-	"dagger/internal/metrics"
 	"dagger/internal/sim"
 )
 
 // Span is one tier visit within a request.
 type Span struct {
 	Service string
-	Start   sim.Time // arrival at the tier
 	Queue   sim.Time // time waiting for a thread/core
 	Work    sim.Time // handler execution time
-	End     sim.Time // response sent
-	// Marked records that the request reached this tier carrying an
-	// ECN-style congestion mark (stamped by a queue on its path), so the
-	// profile can attribute queue pressure to the services that see it.
-	Marked bool
-	// ConnMiss records that the request's connection lookup missed the
-	// NIC's near-memory connection cache (§4.2) and paid the host-lookup
-	// penalty, so the profile can spot services whose connection working
-	// set outgrew the cache.
-	ConnMiss bool
 }
-
-// Total returns the span's wall time.
-func (s Span) Total() sim.Time { return s.End - s.Start }
 
 // Trace is one end-to-end request.
 type Trace struct {
@@ -48,13 +33,6 @@ type Collector struct {
 	traces  []Trace
 	cap     int
 	dropped uint64
-
-	// corruptDrops counts requests the traced server discarded because their
-	// header failed checksum verification (wire.ErrBadChecksum) — corruption
-	// never produces a trace (the request is unattributable), so the profile
-	// carries the count instead, keeping a corrupted-traffic profile from
-	// being mistaken for a clean one.
-	corruptDrops metrics.Counter
 }
 
 // NewCollector creates a collector retaining at most capTraces traces
@@ -63,38 +41,8 @@ func NewCollector(capTraces int) *Collector {
 	return &Collector{cap: capTraces}
 }
 
-// DescribeMetrics registers read-time gauges over the collector's state:
-// traces begun, retained, and dropped at the retention cap. The collector's
-// own fields stay mutex-guarded; the gauges take the lock at snapshot time.
-func (c *Collector) DescribeMetrics(reg *metrics.Registry) {
-	reg.Func("trace.begun", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(c.next)
-	})
-	reg.Func("trace.retained", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(len(c.traces))
-	})
-	reg.Func("trace.dropped", func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return int64(c.dropped)
-	})
-	reg.RegisterCounter("trace.corruptdrop", &c.corruptDrops)
-}
-
-// NoteCorruptDrop records one request discarded at the server for a failed
-// header checksum. Lock-free (the counter is atomic): it sits on the server's
-// frame-drop path.
-func (c *Collector) NoteCorruptDrop() { c.corruptDrops.Inc() }
-
-// CorruptDrops returns the number of checksum-failure drops recorded.
-func (c *Collector) CorruptDrops() uint64 { return c.corruptDrops.Load() }
-
 // Begin starts a new trace and returns its id. Traces beyond the retention
-// cap are not retained (lightweight by design) but are counted: Dropped
+// cap are not retained (lightweight by design) but are counted: Snapshot
 // reports how many, so a truncated profile is never mistaken for a complete
 // one.
 func (c *Collector) Begin() uint64 {
@@ -108,14 +56,6 @@ func (c *Collector) Begin() uint64 {
 		c.dropped++
 	}
 	return id
-}
-
-// Dropped returns the number of traces begun after the retention cap filled
-// and therefore not retained.
-func (c *Collector) Dropped() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
 }
 
 // Record appends a span to trace id. Spans for traces beyond the retention
@@ -146,10 +86,6 @@ type ServiceProfile struct {
 	Spans      uint64
 	TotalBusy  sim.Time
 	TotalQueue sim.Time
-	// Marked counts spans whose request arrived congestion-marked.
-	Marked uint64
-	// ConnMisses counts spans whose request missed the connection cache.
-	ConnMisses uint64
 }
 
 // MeanBusy returns the mean handler time.
@@ -166,24 +102,6 @@ func (p ServiceProfile) MeanQueue() sim.Time {
 		return 0
 	}
 	return p.TotalQueue / sim.Time(p.Spans)
-}
-
-// MarkedFrac returns the fraction of this service's spans that arrived
-// congestion-marked.
-func (p ServiceProfile) MarkedFrac() float64 {
-	if p.Spans == 0 {
-		return 0
-	}
-	return float64(p.Marked) / float64(p.Spans)
-}
-
-// ConnMissFrac returns the fraction of this service's spans whose request
-// missed the connection cache.
-func (p ServiceProfile) ConnMissFrac() float64 {
-	if p.Spans == 0 {
-		return 0
-	}
-	return float64(p.ConnMisses) / float64(p.Spans)
 }
 
 // Report is the analyzer output.
@@ -207,15 +125,8 @@ func (r Report) Bottleneck() string {
 func (r Report) String() string {
 	out := "service profile (by total busy time):\n"
 	for _, p := range r.Profiles {
-		out += fmt.Sprintf("  %-18s spans=%-7d busy(mean)=%-10v queue(mean)=%v",
+		out += fmt.Sprintf("  %-18s spans=%-7d busy(mean)=%-10v queue(mean)=%v\n",
 			p.Service, p.Spans, p.MeanBusy(), p.MeanQueue())
-		if p.Marked > 0 {
-			out += fmt.Sprintf(" marked=%.0f%%", 100*p.MarkedFrac())
-		}
-		if p.ConnMisses > 0 {
-			out += fmt.Sprintf(" conn-miss=%.0f%%", 100*p.ConnMissFrac())
-		}
-		out += "\n"
 	}
 	if r.Dropped > 0 {
 		out += fmt.Sprintf("  (truncated: %d traces dropped at the retention cap)\n", r.Dropped)
@@ -237,12 +148,6 @@ func (c *Collector) Analyze() Report {
 			p.Spans++
 			p.TotalBusy += sp.Work
 			p.TotalQueue += sp.Queue
-			if sp.Marked {
-				p.Marked++
-			}
-			if sp.ConnMiss {
-				p.ConnMisses++
-			}
 		}
 	}
 	rep := Report{Dropped: dropped}

@@ -10,8 +10,8 @@ func TestCollectAndAnalyze(t *testing.T) {
 	c := NewCollector(0)
 	for i := 0; i < 10; i++ {
 		id := c.Begin()
-		c.Record(id, Span{Service: "Flight", Start: 0, Queue: 50, Work: 1000, End: 1050})
-		c.Record(id, Span{Service: "Baggage", Start: 0, Queue: 10, Work: 100, End: 110})
+		c.Record(id, Span{Service: "Flight", Queue: 50, Work: 1000})
+		c.Record(id, Span{Service: "Baggage", Queue: 10, Work: 100})
 	}
 	rep := c.Analyze()
 	if rep.Bottleneck() != "Flight" {
@@ -29,91 +29,11 @@ func TestCollectAndAnalyze(t *testing.T) {
 	}
 }
 
-// TestMarkedAggregation pins the congestion-mark profile: marked spans are
-// counted per service, surfaced as a fraction, and rendered only for
-// services that actually saw marks.
-func TestMarkedAggregation(t *testing.T) {
-	c := NewCollector(0)
-	for i := 0; i < 8; i++ {
-		id := c.Begin()
-		// Flight sees pressure on half its visits; Baggage never does.
-		c.Record(id, Span{Service: "Flight", Work: 1000, Queue: 50, Marked: i%2 == 0})
-		c.Record(id, Span{Service: "Baggage", Work: 100, Queue: 10})
-	}
-	rep := c.Analyze()
-	var flight, baggage ServiceProfile
-	for _, p := range rep.Profiles {
-		switch p.Service {
-		case "Flight":
-			flight = p
-		case "Baggage":
-			baggage = p
-		}
-	}
-	if flight.Marked != 4 || flight.MarkedFrac() != 0.5 {
-		t.Fatalf("flight marked = %d (frac %.2f), want 4 (0.50)", flight.Marked, flight.MarkedFrac())
-	}
-	if baggage.Marked != 0 || baggage.MarkedFrac() != 0 {
-		t.Fatalf("baggage marked = %d, want 0", baggage.Marked)
-	}
-	text := rep.String()
-	if !strings.Contains(text, "marked=50%") {
-		t.Fatalf("report missing marked fraction:\n%s", text)
-	}
-	if strings.Count(text, "marked=") != 1 {
-		t.Fatalf("unmarked service should not render a marked column:\n%s", text)
-	}
-}
-
-// TestConnMissAggregation pins the connection-cache-miss profile, mirroring
-// the congestion-mark one: missed spans are counted per service, surfaced as
-// a fraction, and rendered only for services that actually saw misses.
-func TestConnMissAggregation(t *testing.T) {
-	c := NewCollector(0)
-	for i := 0; i < 8; i++ {
-		id := c.Begin()
-		// Flight's connection working set outgrew the cache on a quarter of
-		// its visits; Baggage's always fits.
-		c.Record(id, Span{Service: "Flight", Work: 1000, Queue: 50, ConnMiss: i%4 == 0})
-		c.Record(id, Span{Service: "Baggage", Work: 100, Queue: 10})
-	}
-	rep := c.Analyze()
-	var flight, baggage ServiceProfile
-	for _, p := range rep.Profiles {
-		switch p.Service {
-		case "Flight":
-			flight = p
-		case "Baggage":
-			baggage = p
-		}
-	}
-	if flight.ConnMisses != 2 || flight.ConnMissFrac() != 0.25 {
-		t.Fatalf("flight conn misses = %d (frac %.2f), want 2 (0.25)", flight.ConnMisses, flight.ConnMissFrac())
-	}
-	if baggage.ConnMisses != 0 || baggage.ConnMissFrac() != 0 {
-		t.Fatalf("baggage conn misses = %d, want 0", baggage.ConnMisses)
-	}
-	text := rep.String()
-	if !strings.Contains(text, "conn-miss=25%") {
-		t.Fatalf("report missing conn-miss fraction:\n%s", text)
-	}
-	if strings.Count(text, "conn-miss=") != 1 {
-		t.Fatalf("miss-free service should not render a conn-miss column:\n%s", text)
-	}
-}
-
-func TestSpanTotal(t *testing.T) {
-	sp := Span{Start: 100, End: 350}
-	if sp.Total() != 250 {
-		t.Fatalf("total = %v", sp.Total())
-	}
-}
-
 func TestRetentionCap(t *testing.T) {
 	c := NewCollector(3)
 	for i := 0; i < 10; i++ {
 		id := c.Begin()
-		c.Record(id, Span{Service: "S", Work: 1, End: 1})
+		c.Record(id, Span{Service: "S", Work: 1})
 	}
 	if traces, _ := c.Snapshot(); len(traces) != 3 {
 		t.Fatalf("retained %d traces, want 3", len(traces))
@@ -126,10 +46,10 @@ func TestDroppedCounter(t *testing.T) {
 	c := NewCollector(3)
 	for i := 0; i < 10; i++ {
 		id := c.Begin()
-		c.Record(id, Span{Service: "S", Work: 1, End: 1})
+		c.Record(id, Span{Service: "S", Work: 1})
 	}
-	if got := c.Dropped(); got != 7 {
-		t.Fatalf("Dropped() = %d, want 7", got)
+	if got := c.dropped; got != 7 {
+		t.Fatalf("dropped = %d, want 7", got)
 	}
 	traces, dropped := c.Snapshot()
 	if len(traces) != 3 || dropped != 7 {
@@ -148,8 +68,8 @@ func TestDroppedCounter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		u.Begin()
 	}
-	if got := u.Dropped(); got != 0 {
-		t.Fatalf("unbounded collector Dropped() = %d, want 0", got)
+	if got := u.dropped; got != 0 {
+		t.Fatalf("unbounded collector dropped = %d, want 0", got)
 	}
 	if rep := u.Analyze(); strings.Contains(rep.String(), "truncated") {
 		t.Fatal("unbounded report mentions truncation")
@@ -173,7 +93,7 @@ func TestConcurrentCollection(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := c.Begin()
-				c.Record(id, Span{Service: "X", Work: 5, End: 5})
+				c.Record(id, Span{Service: "X", Work: 5})
 			}
 		}()
 	}

@@ -26,15 +26,6 @@ type Bridge struct {
 	DeadLetters metrics.Counter
 }
 
-// DescribeMetrics registers the bridge's forwarding counters into reg.
-func (b *Bridge) DescribeMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("bridge.forwarded", &b.Forwarded)
-	reg.RegisterCounter("bridge.injected", &b.Injected)
-	reg.RegisterCounter("bridge.injecterr", &b.InjectErr)
-	reg.RegisterCounter("bridge.nopeer", &b.NoPeer)
-	reg.RegisterCounter("bridge.deadletters", &b.DeadLetters)
-}
-
 // NewBridge attaches a bridge to fab over conn using routes. The bridge
 // takes ownership of the conn's receive handler. A Reliable conn additionally
 // gets the bridge's dead-letter hook: requests the protocol abandons come back
@@ -78,10 +69,6 @@ func (b *Bridge) onDeadLetter(_ string, pkt []byte) {
 		b.InjectErr.Add(1)
 	}
 }
-
-// Endpoint returns the bridge's own transport endpoint (to put in peers'
-// route tables).
-func (b *Bridge) Endpoint() Endpoint { return b.conn.LocalEndpoint() }
 
 func (b *Bridge) forward(dstAddr uint32, frame []byte) error {
 	if b.closed.Load() {

@@ -57,14 +57,6 @@ type Reliable struct {
 	DeadLetters metrics.Counter
 }
 
-// DescribeMetrics registers the protocol's reliability counters into reg.
-func (r *Reliable) DescribeMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("reliable.retransmits", &r.Retransmits)
-	reg.RegisterCounter("reliable.duplicates", &r.Duplicates)
-	reg.RegisterCounter("reliable.gaveup", &r.GaveUp)
-	reg.RegisterCounter("reliable.deadletter", &r.DeadLetters)
-}
-
 // slot holds one frame the protocol may send more than once: an unacked data
 // packet in the send ring, or a peer's standalone ack. Its buffer is reused
 // for the next frame, but never rewritten while a send of it (or a

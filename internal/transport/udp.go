@@ -35,12 +35,6 @@ type UDPConn struct {
 	Received metrics.Counter
 }
 
-// DescribeMetrics registers the socket's datagram counters into reg.
-func (u *UDPConn) DescribeMetrics(reg *metrics.Registry) {
-	reg.RegisterCounter("udp.sent", &u.Sent)
-	reg.RegisterCounter("udp.received", &u.Received)
-}
-
 // NewUDPConn binds a UDP socket on addr ("127.0.0.1:0" for an ephemeral
 // port) and starts its receive loop.
 func NewUDPConn(addr string) (*UDPConn, error) {

@@ -23,9 +23,6 @@ func NewEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Reset truncates the encoder for reuse.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Uint32 appends a little-endian uint32.
 func (e *Encoder) Uint32(v uint32) {
 	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)

@@ -89,7 +89,7 @@ func FuzzReassembler(f *testing.F) {
 	})
 	f.Add(frame, uint16(1))
 	f.Fuzz(func(t *testing.T, data []byte, flow uint16) {
-		r := NewReassembler()
+		r := NewReassemblerPool(nil)
 		for off := 0; off+CacheLineSize <= len(data); off += CacheLineSize {
 			m, done, err := r.AddLine(flow, data[off:off+CacheLineSize])
 			if err != nil {
@@ -142,7 +142,7 @@ func FuzzOpenFrame(f *testing.F) {
 			}
 		}
 
-		r := NewReassembler()
+		r := NewReassemblerPool(nil)
 		var (
 			want Message
 			done bool

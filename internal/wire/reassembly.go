@@ -28,24 +28,17 @@ type flowState struct {
 // keeping one assembly buffer per flow.
 //
 // The reassembler strips headers as it goes: delivered messages carry a
-// payload-only buffer starting at offset 0, owned by the caller. When built
-// with NewReassemblerPool, payload buffers come from the pool and the caller
-// repays the loan by calling pool.Put once it is done with Message.Payload
-// (buffers obtained any other way are also accepted by Put, so callers may
-// recycle unconditionally).
+// payload-only buffer starting at offset 0, owned by the caller. With a pool,
+// payload buffers come from it and the caller repays the loan by calling
+// pool.Put once it is done with Message.Payload (buffers obtained any other
+// way are also accepted by Put, so callers may recycle unconditionally).
 type Reassembler struct {
 	pool    BufferPool
 	pending map[uint16]*flowState // flowID -> assembly state
 }
 
-// NewReassembler returns an empty reassembler that allocates payload buffers
-// from the heap.
-func NewReassembler() *Reassembler {
-	return &Reassembler{pending: make(map[uint16]*flowState)}
-}
-
 // NewReassemblerPool returns an empty reassembler drawing payload buffers
-// from pool. pool may be nil, which is equivalent to NewReassembler.
+// from pool. A nil pool allocates them from the heap.
 func NewReassemblerPool(pool BufferPool) *Reassembler {
 	return &Reassembler{pool: pool, pending: make(map[uint16]*flowState)}
 }
@@ -102,15 +95,4 @@ func (r *Reassembler) AddLine(flowID uint16, line []byte) (Message, bool, error)
 	st.buf = nil
 	st.active = false
 	return m, true, nil
-}
-
-// PendingFlows returns the number of flows with partial frames buffered.
-func (r *Reassembler) PendingFlows() int {
-	n := 0
-	for _, st := range r.pending {
-		if st.active {
-			n++
-		}
-	}
-	return n
 }

@@ -82,8 +82,8 @@ func TestReassemblerPooledPayloads(t *testing.T) {
 	if !bytes.Equal(m.Payload, payload) {
 		t.Fatal("payload aliases the fed frame")
 	}
-	if r.PendingFlows() != 0 {
-		t.Fatalf("PendingFlows = %d after completion", r.PendingFlows())
+	if pendingFlows(r) != 0 {
+		t.Fatalf("pending flows = %d after completion", pendingFlows(r))
 	}
 }
 
@@ -108,7 +108,7 @@ func TestReassemblerSingleLinePooled(t *testing.T) {
 // TestReassemblerStateReuse checks that back-to-back multi-line frames on
 // one flow reuse the persistent flow state and stay correct.
 func TestReassemblerStateReuse(t *testing.T) {
-	r := NewReassembler()
+	r := NewReassemblerPool(nil)
 	for i := 0; i < 5; i++ {
 		payload := bytes.Repeat([]byte{byte('a' + i)}, 100+i)
 		m := feedFrame(t, r, 9, marshalFrame(t, payload))

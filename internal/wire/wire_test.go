@@ -508,8 +508,19 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// pendingFlows counts the flows with a partial frame buffered.
+func pendingFlows(r *Reassembler) int {
+	n := 0
+	for _, st := range r.pending {
+		if st.active {
+			n++
+		}
+	}
+	return n
+}
+
 func TestReassemblerSingleLine(t *testing.T) {
-	r := NewReassembler()
+	r := NewReassemblerPool(nil)
 	m := sampleMessage(16)
 	buf, _ := MarshalAppend(nil, m)
 	got, done, err := r.AddLine(m.FlowID, buf)
@@ -519,13 +530,13 @@ func TestReassemblerSingleLine(t *testing.T) {
 	if !bytes.Equal(got.Payload, m.Payload) {
 		t.Fatal("payload mismatch")
 	}
-	if r.PendingFlows() != 0 {
+	if pendingFlows(r) != 0 {
 		t.Fatal("residual pending state")
 	}
 }
 
 func TestReassemblerMultiLine(t *testing.T) {
-	r := NewReassembler()
+	r := NewReassemblerPool(nil)
 	m := sampleMessage(300) // 1 + ceil((300-FirstLinePayload)/64) = 6 lines
 	buf, _ := MarshalAppend(nil, m)
 	lines := len(buf) / CacheLineSize
@@ -548,7 +559,7 @@ func TestReassemblerMultiLine(t *testing.T) {
 }
 
 func TestReassemblerInterleavedFlows(t *testing.T) {
-	r := NewReassembler()
+	r := NewReassemblerPool(nil)
 	a := sampleMessage(200)
 	a.FlowID = 1
 	b := sampleMessage(200)
@@ -581,7 +592,7 @@ func TestReassemblerInterleavedFlows(t *testing.T) {
 }
 
 func TestReassemblerBadLine(t *testing.T) {
-	r := NewReassembler()
+	r := NewReassemblerPool(nil)
 	if _, _, err := r.AddLine(1, make([]byte, 5)); err == nil {
 		t.Fatal("short line accepted")
 	}

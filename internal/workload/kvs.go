@@ -104,6 +104,3 @@ func (g *KVGenerator) Next() KVRequest {
 	}
 	return KVRequest{Op: OpSet, Key: g.key, Value: g.val}
 }
-
-// Dataset returns the generator's dataset description.
-func (g *KVGenerator) Dataset() Dataset { return g.ds }

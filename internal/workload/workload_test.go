@@ -86,7 +86,7 @@ func TestZipfLargeDomainZeta(t *testing.T) {
 	hit := 0
 	for i := 0; i < 50_000; i++ {
 		v := z.Next()
-		if v >= z.N() {
+		if v >= z.n {
 			t.Fatal("sample out of range")
 		}
 		if v < 1000 {

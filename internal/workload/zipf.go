@@ -72,9 +72,3 @@ func (z *Zipf) Next() uint64 {
 	}
 	return v
 }
-
-// N returns the domain size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Theta returns the skew parameter.
-func (z *Zipf) Theta() float64 { return z.theta }
