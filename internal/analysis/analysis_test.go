@@ -214,7 +214,7 @@ func TestRepoClean(t *testing.T) {
 	}
 	dirs := []string{
 		"../sim", "../dataplane", "../connstate", "../interconnect", "../nicmodel",
-		"../netmodel", "../microsim", "../experiments", "../overload",
+		"../netmodel", "../microsim", "../experiments",
 		"../core", "../transport", "../fabric", "../ringbuf", "../wire",
 		"../faults",
 		"../../examples/quickstart", "../../examples/kvs",

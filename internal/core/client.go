@@ -103,8 +103,8 @@ type RpcClient struct {
 	timeout atomic.Int64 // nanoseconds; 0 disables the call timeout
 
 	mu      sync.Mutex
-	conns   map[uint32]uint32 // connID -> destination address
-	cong    map[uint32]*dataplane.Window
+	conns   map[uint32]uint32            // connID -> destination address
+	cong    map[uint32]*dataplane.Window // connID -> AIMD window, opened at dataplane.DefaultMaxWindow
 	nextRPC uint64
 	pending map[uint64]*call
 
@@ -155,20 +155,6 @@ func (c *RpcClient) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("call.peerdead", &c.PeerDead)
 	reg.RegisterCounter("mark.echoed", &c.Marks)
 	reg.RegisterCounter("conn.miss.echoed", &c.ConnMisses)
-}
-
-// Congestion returns a copy of connID's congestion window; ok is false if
-// the connection is not open. Each connection's window is guarded by c.mu
-// and starts at dataplane.DefaultMaxWindow, far above any bounded ring, so
-// the loop is inert until a queue actually reports congestion.
-func (c *RpcClient) Congestion(connID uint32) (dataplane.Window, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cc := c.cong[connID]
-	if cc == nil {
-		return dataplane.Window{}, false
-	}
-	return *cc, true
 }
 
 // backoffScale maps connID's most recent congestion hint to the integer

@@ -158,10 +158,14 @@ func TestClientCongestionLoop(t *testing.T) {
 	if got := cli.Marks.Load(); got != ringDepth/2 {
 		t.Fatalf("client saw %d marked responses, want %d", got, ringDepth/2)
 	}
-	st, ok := cli.Congestion(conn)
-	if !ok {
+	cli.mu.Lock()
+	cc := cli.cong[conn]
+	if cc == nil {
+		cli.mu.Unlock()
 		t.Fatal("connection 1 reports no congestion state")
 	}
+	st := *cc
+	cli.mu.Unlock()
 	if st.Marks != ringDepth/2 || st.Cleans != ringDepth/2+1 {
 		t.Fatalf("marks/cleans = %d/%d, want %d/%d", st.Marks, st.Cleans, ringDepth/2, ringDepth/2+1)
 	}
@@ -240,7 +244,9 @@ func TestCongestionWindowRefusal(t *testing.T) {
 	cli.Release(resp)
 	wg.Wait()
 
-	st, _ := cli.Congestion(conn)
+	cli.mu.Lock()
+	st := *cli.cong[conn]
+	cli.mu.Unlock()
 	if st.InFlight != 0 {
 		t.Fatalf("inflight = %d after completions", st.InFlight)
 	}

@@ -8,7 +8,6 @@ import (
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
 	"dagger/internal/nicmodel"
-	"dagger/internal/overload"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 )
@@ -217,15 +216,14 @@ func RunChaos(w io.Writer, quick bool) error {
 	}
 
 	fmt.Fprintln(w, "  functional stack (real NICs, goroutines, reliable transport; same injector):")
-	fr, err := overload.RunChaos(overload.ChaosConfig{Quick: quick})
+	fr, err := runFuncChaos(quick)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "    in-fabric: %d calls, %d ok, %d timed out, %d corrupt accepted (NIC caught %d/%d)\n",
 		fr.Calls, fr.Succeeded, fr.TimedOut, fr.CorruptAccepted, fr.NICCorruptDrops, fr.NICCorrupts)
-	fmt.Fprintf(w, "    lossy transport: %d/%d calls ok over %.1f%% datagram loss (%d retransmits)\n",
-		fr.LossySucceeded, fr.LossyCalls, 100*fr.LossRate, fr.Retransmits)
-	fmt.Fprintf(w, "    dead peer: failed fast in %v with ErrPeerDead (%d dead letters)\n",
-		fr.DeadLatency, fr.DeadLetters)
+	fmt.Fprintf(w, "    lossy transport: %d/%d calls ok over %.1f%% datagram loss\n",
+		fr.LossySucceeded, fr.LossyCalls, 100*funcChaosLoss)
+	fmt.Fprintf(w, "    dead peer: failed fast with ErrPeerDead (%d dead letters)\n", fr.DeadLetters)
 	return nil
 }

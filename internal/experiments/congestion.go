@@ -9,7 +9,6 @@ import (
 	"dagger/internal/dataplane"
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
-	"dagger/internal/overload"
 	"dagger/internal/retry"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
@@ -236,9 +235,9 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 // past the deadline budget, so goodput collapses. On, marks halve the
 // client's window before the queue can grow past the mark threshold's
 // neighborhood, the tail stays inside the budget, and goodput holds. The
-// timing-stack comparison is deterministic and asserted (CI runs it as a
-// smoke test); the functional-stack run drives the identical policy through
-// real goroutines and wall clocks (indicative).
+// comparison runs on the timing stack, so it is deterministic and asserted
+// (CI runs it as a smoke test); the functional client's mark loop is pinned
+// by core's tests.
 func RunCongestion(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "closed-loop congestion (§4.2 overload, closed loop): ECN-style queue marks driving client AIMD backoff (timing stack)")
 	iface := interconnect.Config{Kind: interconnect.UPI, Batch: 1}
@@ -286,17 +285,5 @@ func RunCongestion(w io.Writer, quick bool) error {
 	}
 	PublishMetrics("congestion", on.MetricsSnapshot())
 
-	fmt.Fprintln(w, "  functional stack (real goroutines, wall clock; indicative):")
-	fdur := 200 * time.Millisecond
-	if quick {
-		fdur = 100 * time.Millisecond
-	}
-	fr, err := overload.RunCongestion(overload.CongestionConfig{Workers: 24, Duration: fdur, Seed: 13})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "    completed=%d marks=%d refused=%d window=%d->%d p50=%.2fms p99=%.2fms\n",
-		fr.Completed, fr.Marks, fr.Refused, dataplane.DefaultMaxWindow, fr.FinalWindow,
-		float64(fr.P50.Microseconds())/1e3, float64(fr.P99.Microseconds())/1e3)
 	return nil
 }
