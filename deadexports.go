@@ -6,15 +6,21 @@
 // not by its name; a use of a generic method counts for its origin. A
 // method that implements some interface the checked code can see (String,
 // Less, Import, ...) is not reported, because a call through the interface
-// reaches it. Exported struct fields, and methods of unexported types, are
-// not audited.
+// reaches it. Methods of unexported types are not audited.
+//
+// A second section, after the "# unwritten fields" line, lists the exported
+// fields of exported *Config, *Options and *Policy structs under internal/
+// that no non-test file writes: knobs nothing turns. A write is a keyed
+// composite-literal element, or an assignment or ++/-- to the field. An
+// assignment inside an if whose condition reads the same field is the
+// defaulting idiom (if c.F == 0 { c.F = d }) and does not count.
 //
 // Run from the repository root:
 //
 //	go run deadexports.go
 //
-// Each line is "path:line  package.Identifier"; no output means nothing is
-// dead.
+// Each line is "path:line  package.Identifier"; two empty sections mean
+// nothing is dead.
 package main
 
 import (
@@ -40,6 +46,7 @@ func main() {
 
 	var pkgs []*types.Package
 	used := map[token.Position]bool{}
+	written := map[token.Position]bool{}
 	for _, dir := range packageDirs(root) {
 		bp, err := build.ImportDir(dir, 0)
 		if _, ok := err.(*build.NoGoError); ok {
@@ -61,19 +68,25 @@ func main() {
 		for _, obj := range info.Uses {
 			used[fset.Position(origin(obj).Pos())] = true
 		}
+		for _, f := range files {
+			fieldWrites(f, info, func(v *types.Var) { written[fset.Position(origin(v).Pos())] = true })
+		}
 	}
 
 	ifaces := interfaces(pkgs)
-	var dead []string
+	var dead, unwritten []string
 	for _, pkg := range pkgs {
 		if !strings.Contains(pkg.Path(), "/internal/") {
 			continue
 		}
-		report := func(obj types.Object, name string) {
+		line := func(obj types.Object, name string) string {
 			pos := fset.Position(obj.Pos())
-			if obj.Exported() && !used[pos] {
-				rel, _ := filepath.Rel(root, pos.Filename)
-				dead = append(dead, fmt.Sprintf("%s:%d\t%s.%s", rel, pos.Line, pkg.Name(), name))
+			rel, _ := filepath.Rel(root, pos.Filename)
+			return fmt.Sprintf("%s:%d\t%s.%s", rel, pos.Line, pkg.Name(), name)
+		}
+		report := func(obj types.Object, name string) {
+			if obj.Exported() && !used[fset.Position(obj.Pos())] {
+				dead = append(dead, line(obj, name))
 			}
 		}
 		scope := pkg.Scope()
@@ -91,12 +104,86 @@ func main() {
 					report(m, name+"."+m.Name())
 				}
 			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if fld := st.Field(i); fld.Exported() && !written[fset.Position(fld.Pos())] {
+					unwritten = append(unwritten, line(fld, name+"."+fld.Name()))
+				}
+			}
 		}
 	}
 	sort.Strings(dead)
+	sort.Strings(unwritten)
 	for _, d := range dead {
 		fmt.Println(d)
 	}
+	fmt.Println("# unwritten fields")
+	for _, u := range unwritten {
+		fmt.Println(u)
+	}
+}
+
+// fieldWrites calls write for every struct field f writes: a keyed
+// composite-literal element, or an assignment or ++/-- to the field. An
+// assignment inside an if whose condition reads the same field is the
+// defaulting idiom and is skipped.
+func fieldWrites(f *ast.File, info *types.Info, write func(*types.Var)) {
+	field := func(e ast.Expr) *types.Var {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if v, ok := info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
+				return v
+			}
+		}
+		return nil
+	}
+	reads := func(cond ast.Expr, v *types.Var) bool {
+		found := false
+		ast.Inspect(cond, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	var stack []ast.Node
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
+					write(v)
+				}
+			}
+		case *ast.IncDecStmt:
+			if v := field(n.X); v != nil {
+				write(v)
+			}
+		case *ast.AssignStmt:
+		lhs:
+			for _, e := range n.Lhs {
+				v := field(e)
+				if v == nil {
+					continue
+				}
+				for _, outer := range stack {
+					if ifs, ok := outer.(*ast.IfStmt); ok && reads(ifs.Cond, v) {
+						continue lhs
+					}
+				}
+				write(v)
+			}
+		}
+		return true
+	})
 }
 
 // packageDirs lists every directory of the module and of bench/ that may

@@ -67,7 +67,7 @@ func main() {
 	// ---- Timing model: the Table 4 experiment at paper scale ----
 	fmt.Println("Timing model (Table 4 conditions):")
 	for _, th := range []flight.Threading{flight.Simple, flight.Optimized} {
-		tr := trace.NewCollector(0)
+		tr := trace.NewCollector()
 		res := flight.RunModel(flight.ModelConfig{
 			Threading: th, LoadRPS: 2000, Requests: 20000, Seed: 1, Tracer: tr,
 		})

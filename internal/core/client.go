@@ -8,9 +8,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +66,7 @@ const DefaultTimeout = 5 * time.Second
 type call struct {
 	id   uint64
 	conn uint32 // connection the call was issued on (congestion accounting)
+	fn   uint16
 	sync bool
 	done chan struct{}
 	cb   func([]byte, error)
@@ -107,6 +110,7 @@ type RpcClient struct {
 	cong    map[uint32]*dataplane.Window // connID -> AIMD window, opened at dataplane.DefaultMaxWindow
 	nextRPC uint64
 	pending map[uint64]*call
+	closed  bool // set by Close once it has completed the pending async calls
 
 	defaultConn uint32
 	hasConn     bool
@@ -382,8 +386,8 @@ func (c *RpcClient) CallAsync(fnID uint16, req []byte, cb func([]byte, error)) e
 // CallAsyncContext is CallAsync with a context. The ctx is consulted at issue
 // time — an expired or canceled ctx fails fast, and a ctx deadline is stamped
 // into the header so downstream tiers shed the request once it expires — but
-// a cancellation after issue does not revoke the callback: the response (or
-// the client timeout/close) completes it.
+// a cancellation after issue does not revoke the callback: the response, or
+// Close with ErrClientClose, completes it. No client timeout applies.
 func (c *RpcClient) CallAsyncContext(ctx context.Context, fnID uint16, req []byte, cb func([]byte, error)) error {
 	c.mu.Lock()
 	conn := c.defaultConn
@@ -439,12 +443,11 @@ func (c *RpcClient) budgetFrom(ctx context.Context) (uint32, error) {
 }
 
 func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32, cb func([]byte, error), sync bool) (*call, error) {
-	select {
-	case <-c.stop:
-		return nil, ErrClientClose
-	default:
-	}
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, ErrClientClose
+	}
 	dst, ok := c.conns[connID]
 	if !ok {
 		c.mu.Unlock()
@@ -467,6 +470,7 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	cl := callPool.Get().(*call)
 	cl.id = id
 	cl.conn = connID
+	cl.fn = fnID
 	cl.sync = sync
 	cl.cb = cb
 	c.pending[id] = cl
@@ -487,10 +491,13 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	}
 	if err := c.nic.Send(&m); err != nil {
 		// The frame never entered a ring, so no response can arrive for
-		// this RPC id; the call is safe to recycle once unregistered.
-		if c.abandon(cl) {
-			c.release(cl)
+		// this RPC id; the call is safe to recycle once unregistered. If
+		// Close claimed the (async) call first, its callback has already
+		// reported ErrClientClose, so the send error is not reported twice.
+		if !c.abandon(cl) {
+			return nil, nil
 		}
+		c.release(cl)
 		return nil, err
 	}
 	c.Issued.Add(1)
@@ -525,6 +532,7 @@ func (c *RpcClient) release(cl *call) {
 	}
 	cl.id = 0
 	cl.conn = 0
+	cl.fn = 0
 	cl.sync = false
 	cl.cb = nil
 	cl.resp = nil
@@ -602,7 +610,7 @@ func (c *RpcClient) recvLoop() {
 			cl.done <- struct{}{}
 			continue
 		}
-		c.cq.complete(completion{RPCID: m.RPCID, FnID: m.FnID, Resp: resp, Err: rerr})
+		c.cq.complete(Completion{RPCID: m.RPCID, FnID: m.FnID, Resp: resp, Err: rerr})
 		if cl.cb != nil {
 			cl.cb(resp, rerr)
 		}
@@ -619,11 +627,32 @@ func (c *RpcClient) noteCompletionLocked(connID uint32, h *wire.Header) {
 	}
 }
 
-// Close shuts the client down; in-flight synchronous calls return
-// ErrClientClose.
+// Close shuts the client down. In-flight synchronous calls return
+// ErrClientClose. Pending asynchronous calls complete with ErrClientClose,
+// in issue order, as the receive path completes a response: the
+// CompletionQueue entry first, then the callback.
 func (c *RpcClient) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.recvWG.Wait()
+	c.mu.Lock()
+	c.closed = true
+	async := make([]*call, 0, len(c.pending))
+	for id, cl := range c.pending {
+		if !cl.sync {
+			delete(c.pending, id)
+			async = append(async, cl)
+		}
+	}
+	c.mu.Unlock()
+	slices.SortFunc(async, func(a, b *call) int { return cmp.Compare(a.id, b.id) })
+	// The calls are not recycled: an issuer whose send failed may still hold
+	// one, to find through abandon that Close claimed it.
+	for _, cl := range async {
+		c.cq.complete(Completion{RPCID: cl.id, FnID: cl.fn, Err: ErrClientClose})
+		if cl.cb != nil {
+			cl.cb(nil, ErrClientClose)
+		}
+	}
 }
 
 // Response header flags.

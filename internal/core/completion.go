@@ -2,15 +2,7 @@ package core
 
 import "sync"
 
-// completion is one finished asynchronous RPC.
-type completion struct {
-	RPCID uint64
-	FnID  uint16
-	Resp  []byte
-	Err   error
-}
-
-// Completion is the public view of a completed request.
+// Completion is one finished asynchronous RPC.
 type Completion struct {
 	RPCID uint64
 	FnID  uint16
@@ -34,9 +26,9 @@ func NewCompletionQueue() *CompletionQueue {
 	return &CompletionQueue{}
 }
 
-func (q *CompletionQueue) complete(c completion) {
+func (q *CompletionQueue) complete(c Completion) {
 	q.mu.Lock()
-	q.entries = append(q.entries, Completion(c))
+	q.entries = append(q.entries, c)
 	q.count++
 	q.mu.Unlock()
 }

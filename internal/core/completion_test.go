@@ -25,7 +25,7 @@ func TestCompletionQueueConcurrentPollPush(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				q.complete(completion{
+				q.complete(Completion{
 					RPCID: uint64(p*perProducer + i + 1),
 					FnID:  uint16(p),
 				})
@@ -100,7 +100,7 @@ func record(mu *sync.Mutex, received map[uint64]bool, dupes *int, got []Completi
 func TestCompletionQueuePollBatchBounds(t *testing.T) {
 	q := NewCompletionQueue()
 	for i := 1; i <= 10; i++ {
-		q.complete(completion{RPCID: uint64(i)})
+		q.complete(Completion{RPCID: uint64(i)})
 	}
 	if got := q.Poll(3); len(got) != 3 || got[0].RPCID != 1 || got[2].RPCID != 3 {
 		t.Fatalf("Poll(3) = %+v, want RPCIDs 1..3", got)

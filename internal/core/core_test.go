@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -351,10 +352,12 @@ func TestClientCloseUnblocksCalls(t *testing.T) {
 	snic, _ := f.CreateNIC(2, 1, 16)
 	srv := NewRpcThreadedServer(snic, ServerConfig{})
 	release := make(chan struct{})
-	_ = srv.Register(0, "never", func(_ context.Context, req []byte) ([]byte, error) {
+	never := func(_ context.Context, req []byte) ([]byte, error) {
 		<-release
 		return nil, nil
-	})
+	}
+	_ = srv.Register(0, "never", never)
+	_ = srv.Register(7, "never7", never)
 	_ = srv.Start()
 	defer srv.Stop()
 	defer close(release)
@@ -366,8 +369,25 @@ func TestClientCloseUnblocksCalls(t *testing.T) {
 		_, err := cli.Call(0, nil)
 		errCh <- err
 	}()
+	// An async call pending at Close completes with ErrClientClose before
+	// Close returns: the CompletionQueue entry, then the callback.
+	var asyncErrs []error
+	if err := cli.CallAsync(7, nil, func(_ []byte, err error) {
+		if cli.CompletionQueue().Len() != 1 {
+			t.Error("callback ran before the completion was enqueued")
+		}
+		asyncErrs = append(asyncErrs, err)
+	}); err != nil {
+		t.Fatal(err)
+	}
 	time.Sleep(20 * time.Millisecond)
 	cli.Close()
+	if len(asyncErrs) != 1 || !errors.Is(asyncErrs[0], ErrClientClose) {
+		t.Fatalf("async callback errors after Close = %v, want [ErrClientClose]", asyncErrs)
+	}
+	if cs := cli.CompletionQueue().Poll(0); len(cs) != 1 || cs[0].FnID != 7 || !errors.Is(cs[0].Err, ErrClientClose) {
+		t.Fatalf("completions after Close = %+v, want one fn-7 ErrClientClose", cs)
+	}
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, ErrClientClose) {
@@ -378,6 +398,47 @@ func TestClientCloseUnblocksCalls(t *testing.T) {
 	}
 	if _, err := cli.Call(0, nil); !errors.Is(err, ErrClientClose) {
 		t.Fatal("call after close should fail")
+	}
+	if err := cli.CallAsync(0, nil, func([]byte, error) { t.Error("callback of a refused call ran") }); !errors.Is(err, ErrClientClose) {
+		t.Fatalf("async call after close: err = %v, want ErrClientClose", err)
+	}
+	cli.Close() // idempotent: completes nothing twice
+	if len(asyncErrs) != 1 {
+		t.Fatalf("second Close re-ran callbacks: %v", asyncErrs)
+	}
+}
+
+// TestCloseCompletesAsyncExactlyOnce races Close against issuing goroutines:
+// every CallAsync either returns an error or runs its callback, never both
+// and never neither, so a fan-out that counts both ways balances.
+func TestCloseCompletesAsyncExactlyOnce(t *testing.T) {
+	cli, _, shutdown := testPair(t, ServerConfig{})
+	defer shutdown()
+	var attempts, reported atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				attempts.Add(1)
+				err := cli.CallAsync(0, []byte("x"), func([]byte, error) { reported.Add(1) })
+				if err != nil {
+					reported.Add(1)
+				}
+				if errors.Is(err, ErrClientClose) {
+					return
+				}
+			}
+		}()
+	}
+	for attempts.Load() < 500 {
+		runtime.Gosched()
+	}
+	cli.Close()
+	wg.Wait()
+	if a, r := attempts.Load(), reported.Load(); a != r {
+		t.Fatalf("%d async calls issued, %d reported (error or callback)", a, r)
 	}
 }
 

@@ -98,9 +98,8 @@ func TestStopDrainsWorkerQueue(t *testing.T) {
 	}
 
 	srv := NewRpcThreadedServer(serverNIC, ServerConfig{
-		Threading:   WorkerThreads,
-		Workers:     1,
-		WorkerQueue: 8,
+		Threading: WorkerThreads,
+		Workers:   1,
 	})
 	var entered atomic.Int32
 	err = srv.Register(0, "block", func(ctx context.Context, req []byte) ([]byte, error) {

@@ -53,9 +53,10 @@ type ServerConfig struct {
 	Threading ThreadingModel
 	// Workers sizes the worker pool (WorkerThreads only; default 4).
 	Workers int
-	// WorkerQueue bounds the dispatch->worker queue (default 1024).
-	WorkerQueue int
 }
+
+// workerQueue bounds the dispatch->worker queue.
+const workerQueue = 1024
 
 // RpcServerThread is one server event loop bound to one NIC flow: the
 // dispatch thread of Figure 7.
@@ -138,9 +139,6 @@ func NewRpcThreadedServer(nic *fabric.SoftNIC, cfg ServerConfig) *RpcThreadedSer
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.WorkerQueue <= 0 {
-		cfg.WorkerQueue = 1024
-	}
 	s := &RpcThreadedServer{
 		nic:      nic,
 		cfg:      cfg,
@@ -184,7 +182,7 @@ func (s *RpcThreadedServer) Start() error {
 	s.mu.Unlock()
 
 	if s.cfg.Threading == WorkerThreads {
-		s.work = make(chan workItem, s.cfg.WorkerQueue)
+		s.work = make(chan workItem, workerQueue)
 		for i := 0; i < s.cfg.Workers; i++ {
 			s.wg.Add(1)
 			go s.workerLoop()

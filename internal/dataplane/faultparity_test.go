@@ -28,7 +28,6 @@ func faultParityConfig() faults.Config {
 			Reorder:   50_000,
 			Corrupt:   100_000,
 		},
-		MaxDelay: 3,
 	}
 }
 

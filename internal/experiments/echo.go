@@ -29,6 +29,8 @@ const (
 	// arrivals refused by dataplane.Admit at this depth are dropped (65 keeps
 	// the pre-dataplane "depth > 64 drops" admission boundary).
 	bestEffortQueueCap = 65
+	// echoPayloadBytes sizes each RPC, as in the paper's Figure 10/11 runs.
+	echoPayloadBytes = 64
 )
 
 // EchoConfig parametrizes the symmetric echo benchmark of §5.2–5.5: a
@@ -43,9 +45,6 @@ type EchoConfig struct {
 	OfferedRPS float64
 	// Requests is the number of RPCs to issue.
 	Requests int
-	// PayloadBytes sizes each RPC (64 B in the paper's Figure 10/11 runs;
-	// payloads above one cache line charge extra interconnect lines).
-	PayloadBytes int
 	// Threads is the number of client threads (Figure 11 right); each gets
 	// its own NIC flow and core share.
 	Threads int
@@ -118,9 +117,6 @@ func RunEcho(cfg EchoConfig) *EchoResult {
 	if cfg.Requests <= 0 {
 		cfg.Requests = 200_000
 	}
-	if cfg.PayloadBytes <= 0 {
-		cfg.PayloadBytes = 64
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -176,8 +172,7 @@ func RunEcho(cfg EchoConfig) *EchoResult {
 	rxCPU := interconnect.ThreadCPUPerRPC(iface, threadsOnCore) - txCPU
 
 	res := &EchoResult{Latency: stats.NewHistogram()}
-	lines := wire.LinesFor(cfg.PayloadBytes)
-	msg := &wire.Message{Payload: make([]byte, cfg.PayloadBytes)}
+	msg := &wire.Message{Payload: make([]byte, echoPayloadBytes)}
 
 	var firstArrival, lastCompletion sim.Time
 	perThread := cfg.Requests / cfg.Threads
@@ -337,7 +332,6 @@ func RunEcho(cfg EchoConfig) *EchoResult {
 		}
 		eng.After(0, arrive)
 	}
-	_ = lines
 
 	eng.Run()
 	elapsed := lastCompletion - firstArrival

@@ -9,56 +9,6 @@ import (
 	"dagger/internal/workload"
 )
 
-func echoSat(t *testing.T, cfg interconnect.Config) *EchoResult {
-	t.Helper()
-	return RunEcho(EchoConfig{Iface: cfg, Requests: 60_000, Seed: 1})
-}
-
-// Figure 10's headline: the DES-measured saturation throughputs land within
-// 10% of the paper for every interface variant.
-func TestEchoSaturationMatchesFig10(t *testing.T) {
-	want := map[string]float64{
-		"MMIO":             4.2,
-		"Doorbell":         4.3,
-		"Doorbell, B = 3":  7.9,
-		"Doorbell, B = 7":  9.9,
-		"Doorbell, B = 11": 10.8,
-		"UPI, B = 1":       8.1,
-		"UPI, B = 4":       12.4,
-	}
-	for _, cfg := range interconnect.Fig10Configs() {
-		got := echoSat(t, cfg).Mrps()
-		paper := want[cfg.Name()]
-		if got < paper*0.88 || got > paper*1.12 {
-			t.Errorf("%s: measured %.1f Mrps, paper %.1f", cfg.Name(), got, paper)
-		}
-	}
-}
-
-// Figure 10's latency ordering: UPI variants are the fastest; doorbell
-// batching trades latency for throughput monotonically in B.
-func TestEchoLatencyOrdering(t *testing.T) {
-	med := func(cfg interconnect.Config) float64 {
-		sat := echoSat(t, cfg)
-		lat := RunEcho(EchoConfig{Iface: cfg, OfferedRPS: 0.85 * sat.ThroughputRPS, Requests: 60_000, Seed: 2})
-		return lat.MedianUs()
-	}
-	upi1 := med(interconnect.Config{Kind: interconnect.UPI, Batch: 1})
-	upi4 := med(interconnect.Config{Kind: interconnect.UPI, Batch: 4})
-	mmio := med(interconnect.Config{Kind: interconnect.MMIO, Batch: 1})
-	db3 := med(interconnect.Config{Kind: interconnect.DoorbellBatch, Batch: 3})
-	db11 := med(interconnect.Config{Kind: interconnect.DoorbellBatch, Batch: 11})
-	if upi1 >= mmio || upi4 >= mmio {
-		t.Errorf("UPI latency (%.2f/%.2f) should beat MMIO (%.2f)", upi1, upi4, mmio)
-	}
-	if db11 <= db3 {
-		t.Errorf("doorbell B=11 median %.2f should exceed B=3 %.2f", db11, db3)
-	}
-	if upi1 > 2.3 {
-		t.Errorf("UPI B=1 median %.2fus, paper ~1.8us", upi1)
-	}
-}
-
 // Figure 11 left: B=1 latency is flat until its knee; B=4 pays a batch-fill
 // penalty at low load; auto follows the better of the two.
 func TestEchoAutoBatchFollowsBest(t *testing.T) {
@@ -79,28 +29,6 @@ func TestEchoAutoBatchFollowsBest(t *testing.T) {
 	hiAuto := RunEcho(EchoConfig{Iface: auto, OfferedRPS: 11e6, Requests: 60_000, Seed: 4})
 	if hiAuto.Mrps() < 10.5 {
 		t.Errorf("auto at high load achieved %.1f Mrps, want B=4 level", hiAuto.Mrps())
-	}
-}
-
-// Figure 11 right: linear scaling to 4 threads, flat at ~42 Mrps; raw reads
-// scale further to ~80 Mrps.
-func TestEchoThreadScaling(t *testing.T) {
-	upi4 := interconnect.Config{Kind: interconnect.UPI, Batch: 4}
-	four := RunEcho(EchoConfig{Iface: upi4, Threads: 4, Requests: 120_000, Seed: 5}).Mrps()
-	eight := RunEcho(EchoConfig{Iface: upi4, Threads: 8, Requests: 120_000, Seed: 5}).Mrps()
-	if four < 38 || four > 46 {
-		t.Errorf("4-thread throughput %.1f Mrps, paper ~42", four)
-	}
-	if eight > four*1.08 {
-		t.Errorf("8 threads (%.1f) should not scale past the endpoint cap (%.1f)", eight, four)
-	}
-	raw8 := RunRawReads(8, 400_000).ThroughputRPS / 1e6
-	if raw8 < 72 || raw8 > 92 {
-		t.Errorf("8-thread raw reads %.1f Mrps, paper ~80", raw8)
-	}
-	raw2 := RunRawReads(2, 200_000).ThroughputRPS / 1e6
-	if raw2 >= raw8 {
-		t.Error("raw reads should scale with threads")
 	}
 }
 
@@ -126,16 +54,6 @@ func TestEchoToRDelay(t *testing.T) {
 	diff := tor.MedianUs() - loop.MedianUs()
 	if diff < 0.2 || diff > 0.45 {
 		t.Errorf("ToR RTT penalty %.2fus, want ~0.3", diff)
-	}
-}
-
-// Larger RPCs cost more pipeline occupancy (multi-line transfer, §4.7).
-func TestEchoPayloadScaling(t *testing.T) {
-	cfg := interconnect.Config{Kind: interconnect.UPI, Batch: 1}
-	small := RunEcho(EchoConfig{Iface: cfg, OfferedRPS: 2e6, Requests: 30_000, PayloadBytes: 16, Seed: 8})
-	big := RunEcho(EchoConfig{Iface: cfg, OfferedRPS: 2e6, Requests: 30_000, PayloadBytes: 1024, Seed: 8})
-	if big.MedianUs() <= small.MedianUs() {
-		t.Errorf("1KB RPCs (%.2f) should be slower than 16B (%.2f)", big.MedianUs(), small.MedianUs())
 	}
 }
 

@@ -291,7 +291,7 @@ func RunTable4(w io.Writer, quick bool) error {
 			float64(lat.Latency.Percentile(99))/1e3)
 	}
 	// Bottleneck analysis via the request tracing system (§5.7).
-	tr := trace.NewCollector(0)
+	tr := trace.NewCollector()
 	flight.RunModel(flight.ModelConfig{Threading: flight.Simple, LoadRPS: 2000, Requests: n / 2, Seed: 9, Tracer: tr})
 	fmt.Fprintf(w, "  tracing bottleneck: %s service\n", tr.Analyze().Bottleneck())
 	return nil

@@ -95,9 +95,9 @@ func (r Rates) Sum() uint64 {
 		uint64(r.Reorder) + uint64(r.Corrupt)
 }
 
-// DefaultMaxDelay is the Delay verdict's maximum hold (in admissions) when
-// Config.MaxDelay is zero.
-const DefaultMaxDelay = 4
+// maxDelay is the Delay verdict's maximum hold in admissions. Delay args are
+// uniform in [1, maxDelay].
+const maxDelay = 4
 
 // ErrRates reports a Rates whose sum exceeds RateDenominator.
 var ErrRates = errors.New("faults: class rates sum past RateDenominator")
@@ -109,9 +109,6 @@ type Config struct {
 	Seed uint64
 	// Rates are the per-class fault rates (parts per million).
 	Rates Rates
-	// MaxDelay bounds the Delay verdict's hold in admissions
-	// (0 = DefaultMaxDelay). Delay args are uniform in [1, MaxDelay].
-	MaxDelay uint32
 }
 
 // Validate rejects configs whose class rates overlap.
@@ -158,10 +155,6 @@ func VerdictAt(cfg Config, frame uint64) Verdict {
 	}
 	cum += uint64(r.Delay)
 	if draw < cum {
-		maxDelay := cfg.MaxDelay
-		if maxDelay == 0 {
-			maxDelay = DefaultMaxDelay
-		}
 		arg := mix64(h ^ argSalt)
 		return Verdict{Class: Delay, Arg: 1 + uint32(arg%uint64(maxDelay))}
 	}

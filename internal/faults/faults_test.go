@@ -14,7 +14,6 @@ func testConfig() Config {
 			Reorder:   50_000,
 			Corrupt:   100_000,
 		},
-		MaxDelay: 3,
 	}
 }
 
@@ -101,8 +100,8 @@ func TestRatesAndArgs(t *testing.T) {
 	for _, v := range plan {
 		switch v.Class {
 		case Delay:
-			if v.Arg < 1 || v.Arg > cfg.MaxDelay {
-				t.Fatalf("Delay arg %d outside [1,%d]", v.Arg, cfg.MaxDelay)
+			if v.Arg < 1 || v.Arg > maxDelay {
+				t.Fatalf("Delay arg %d outside [1,%d]", v.Arg, maxDelay)
 			}
 			sawDelayArgs[v.Arg] = true
 		case Reorder:
@@ -115,8 +114,8 @@ func TestRatesAndArgs(t *testing.T) {
 			}
 		}
 	}
-	if len(sawDelayArgs) != int(cfg.MaxDelay) {
-		t.Errorf("delay args drawn: %d distinct, want %d", len(sawDelayArgs), cfg.MaxDelay)
+	if len(sawDelayArgs) != maxDelay {
+		t.Errorf("delay args drawn: %d distinct, want %d", len(sawDelayArgs), maxDelay)
 	}
 }
 

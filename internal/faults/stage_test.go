@@ -44,7 +44,7 @@ func only(t *testing.T, class Class, arg uint32) *Injector {
 		CorruptBit: {Corrupt: RateDenominator},
 	}[class]
 	for seed := uint64(0); seed < 256; seed++ {
-		cfg := Config{Seed: seed, Rates: rates, MaxDelay: 4}
+		cfg := Config{Seed: seed, Rates: rates}
 		if v := VerdictAt(cfg, 0); v.Class == class && (class != Delay || v.Arg == arg) {
 			inj, err := NewInjector(cfg)
 			if err != nil {

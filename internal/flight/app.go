@@ -102,13 +102,12 @@ type Config struct {
 	Threading map[string]core.ServerConfig
 	// FlightWork emulates the Flight service's long-running lookup.
 	FlightWork time.Duration
-	// FlowsPerTier is each tier NIC's flow count.
-	FlowsPerTier int
-	// RingDepth is the per-flow RX ring depth.
-	RingDepth int
 	// Citizens seeds the Citizens database with this many residents.
 	Citizens int
 }
+
+// flowsPerTier is each tier NIC's flow count.
+const flowsPerTier = 2
 
 // OptimizedThreading returns the paper's Optimized model: worker threads
 // for the long-running Flight service and the nested-blocking Check-in and
@@ -146,12 +145,6 @@ func (a *App) tierCfg(cfg Config, tier string) core.ServerConfig {
 
 // New builds and starts all eight tiers on a fresh fabric.
 func New(cfg Config) (*App, error) {
-	if cfg.FlowsPerTier <= 0 {
-		cfg.FlowsPerTier = 2
-	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 1024
-	}
 	if cfg.Citizens <= 0 {
 		cfg.Citizens = 1000
 	}
@@ -164,7 +157,7 @@ func New(cfg Config) (*App, error) {
 	}()
 
 	mkNIC := func(addr uint32) (*fabric.SoftNIC, error) {
-		n, err := a.Fabric.CreateNIC(addr, cfg.FlowsPerTier, cfg.RingDepth)
+		n, err := a.Fabric.CreateNIC(addr, flowsPerTier, fabric.DefaultRingDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -175,7 +168,7 @@ func New(cfg Config) (*App, error) {
 	// client to every destination; conns[dst][i] is client i's connection
 	// to dst (the SRQ model: connections share the client's ring).
 	mkPool := func(nic *fabric.SoftNIC, dsts ...uint32) (*core.RpcClientPool, map[uint32][]uint32, error) {
-		pool, err := core.NewRpcClientPool(nic, cfg.FlowsPerTier)
+		pool, err := core.NewRpcClientPool(nic, flowsPerTier)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -197,7 +190,7 @@ func New(cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.airport = mica.NewStore(cfg.FlowsPerTier, 1<<12, 1<<22)
+	a.airport = mica.NewStore(flowsPerTier, 1<<12, 1<<22)
 	srv, err := mica.Serve(airportNIC, a.airport, core.ServerConfig{})
 	if err != nil {
 		return nil, err
@@ -208,7 +201,7 @@ func New(cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.citizens = mica.NewStore(cfg.FlowsPerTier, 1<<12, 1<<22)
+	a.citizens = mica.NewStore(flowsPerTier, 1<<12, 1<<22)
 	srv, err = mica.Serve(citizensNIC, a.citizens, core.ServerConfig{})
 	if err != nil {
 		return nil, err
@@ -484,12 +477,6 @@ func (a *App) StaffLookup(passengerID uint64) (Record, error) {
 func (a *App) Close() {
 	for _, p := range a.pools {
 		p.Close()
-	}
-	if a.passengerPool != nil {
-		a.passengerPool.Close()
-	}
-	if a.staffPool != nil {
-		a.staffPool.Close()
 	}
 	for _, s := range a.servers {
 		s.Stop()

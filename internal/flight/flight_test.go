@@ -215,7 +215,7 @@ func TestModelFig15Knee(t *testing.T) {
 // The tracing system finds the Flight tier as the bottleneck, as §5.7's
 // profiling did.
 func TestModelTraceFindsFlightBottleneck(t *testing.T) {
-	tr := trace.NewCollector(0)
+	tr := trace.NewCollector()
 	RunModel(ModelConfig{Threading: Simple, LoadRPS: 2000, Requests: 10000, Seed: 9, Tracer: tr})
 	rep := tr.Analyze()
 	if rep.Bottleneck() != "Flight" {

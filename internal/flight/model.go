@@ -49,13 +49,6 @@ type ModelConfig struct {
 	// Requests to offer (completed + dropped).
 	Requests int
 	Seed     int64
-	// Flows is each tier's NIC flow / dispatch thread count (default 2).
-	Flows int
-	// RingDepth is the per-flow RX ring depth (default 6, per the paper's
-	// ring provisioning rule for Krps-scale flows).
-	RingDepth int
-	// Workers sizes the worker pools in the Optimized model (default 4).
-	Workers int
 	// Tracer, when set, records per-tier spans for bottleneck analysis.
 	Tracer *trace.Collector
 }
@@ -74,6 +67,15 @@ const (
 	flightFastWork sim.Time = 4000                 // typical flight lookup
 	flightSlowWork sim.Time = 12 * sim.Millisecond // long-running lookup
 	flightSlowFrac          = 0.003
+)
+
+// Model tier sizing.
+const (
+	modelFlows = 2 // each tier's NIC flow / dispatch thread count
+	// modelRingDepth is the per-flow RX ring depth, per the paper's ring
+	// provisioning rule for Krps-scale flows.
+	modelRingDepth = 6
+	modelWorkers   = 4 // worker pool size in the Optimized model
 )
 
 // ModelResult is one run's output.
@@ -114,12 +116,12 @@ type flightModel struct {
 	pfe, checkin, flight, baggage, passport, airport, citizens, staff *modelTier
 }
 
-func newModelTier(eng *sim.Engine, name string, flows, ringDepth, workers int, drops *int) *modelTier {
+func newModelTier(eng *sim.Engine, name string, workers int, drops *int) *modelTier {
 	t := &modelTier{
 		name:     name,
 		eng:      eng,
-		ring:     sim.NewQueue(flows * ringDepth),
-		dispatch: sim.NewResource(eng, flows),
+		ring:     sim.NewQueue(modelFlows * modelRingDepth),
+		dispatch: sim.NewResource(eng, modelFlows),
 		drops:    drops,
 	}
 	if workers > 0 {
@@ -184,15 +186,6 @@ func (t *modelTier) handle(traceID uint64, tr *trace.Collector, work sim.Time,
 
 // RunModel executes the Table 4 / Figure 15 experiment.
 func RunModel(cfg ModelConfig) *ModelResult {
-	if cfg.Flows <= 0 {
-		cfg.Flows = 2
-	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 6
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
 	if cfg.Requests <= 0 {
 		cfg.Requests = 20000
 	}
@@ -206,13 +199,13 @@ func RunModel(cfg ModelConfig) *ModelResult {
 		if cfg.Threading == Optimized {
 			switch tier {
 			case "Flight", "CheckIn", "Passport":
-				return cfg.Workers
+				return modelWorkers
 			}
 		}
 		return 0
 	}
 	mk := func(name string) *modelTier {
-		return newModelTier(m.eng, name, cfg.Flows, cfg.RingDepth, workersFor(name), &m.res.Dropped)
+		return newModelTier(m.eng, name, workersFor(name), &m.res.Dropped)
 	}
 	m.pfe = mk("PassengerFE")
 	m.checkin = mk("CheckIn")

@@ -77,10 +77,6 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 // Load returns the current level.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 
-// DefaultSubBits is the default histogram precision: 32 sub-buckets per
-// power of two, matching stats.NewHistogram (≈3% worst-case relative error).
-const DefaultSubBits = 5
-
 // Histogram is a fixed-bucket log-bucketed histogram sharing the
 // internal/stats geometry (stats.BucketIndex / stats.BucketLow). Unlike
 // stats.Histogram it never grows: all buckets covering the non-negative
@@ -88,32 +84,21 @@ const DefaultSubBits = 5
 // index computation plus three atomic adds — allocation-free and safe for
 // concurrent use on the data path.
 type Histogram struct {
-	subBits uint
-	counts  []atomic.Uint64
-	total   atomic.Uint64
-	sum     atomic.Int64
+	counts []atomic.Uint64
+	total  atomic.Uint64
+	sum    atomic.Int64
 }
 
-// NewHistogram returns a histogram with DefaultSubBits precision.
-func NewHistogram() *Histogram { return NewHistogramPrecision(DefaultSubBits) }
-
-// NewHistogramPrecision returns a histogram with 1<<subBits sub-buckets per
-// power of two. subBits must be in [0, 10]; memory is ~8 B per bucket
-// (≈15 KB at the default precision).
-func NewHistogramPrecision(subBits uint) *Histogram {
-	if subBits > 10 {
-		panic("metrics: histogram subBits too large")
-	}
-	return &Histogram{
-		subBits: subBits,
-		counts:  make([]atomic.Uint64, stats.NumBuckets(subBits)),
-	}
+// NewHistogram returns a histogram at stats.SubBits precision; memory is
+// ~8 B per bucket (≈15 KB).
+func NewHistogram() *Histogram {
+	return &Histogram{counts: make([]atomic.Uint64, stats.NumBuckets(stats.SubBits))}
 }
 
 // Observe records one value. Negative values clamp to zero (the shared
 // stats geometry's convention).
 func (h *Histogram) Observe(v int64) {
-	h.counts[stats.BucketIndex(h.subBits, v)].Add(1)
+	h.counts[stats.BucketIndex(stats.SubBits, v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(v)
 }
@@ -126,7 +111,7 @@ func (h *Histogram) snapshotBuckets() []Bucket {
 	out := make([]Bucket, 0, len(h.counts))
 	for i := range h.counts {
 		if n := h.counts[i].Load(); n > 0 {
-			out = append(out, Bucket{Low: stats.BucketLow(h.subBits, i), Count: n})
+			out = append(out, Bucket{Low: stats.BucketLow(stats.SubBits, i), Count: n})
 		}
 	}
 	return out

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dagger/internal/dataplane"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 )
@@ -40,23 +39,6 @@ type RunConfig struct {
 	Seed int64
 	// Mode places networking on shared or isolated cores.
 	Mode Mode
-	// BudgetMicros gives every request a deadline budget in microseconds
-	// (the wire header's Budget field in the functional stack); 0 means
-	// requests carry no deadline.
-	BudgetMicros uint32
-	// Shed applies the dataplane shed policy at every tier: a request whose
-	// budget has expired is dropped when a core is granted, before it
-	// occupies the core (shed-before-dispatch). With Shed false expired
-	// requests still execute, which is the overload tail-amplification the
-	// budget exists to prevent.
-	Shed bool
-	// MarkDepth enables ECN-style congestion marking at every tier: a visit
-	// that finds MarkDepth/2 or more requests already queued for the tier's
-	// cores picks up a congestion mark (dataplane.Mark over the core queue
-	// depth), and the mark sticks to the request tier-to-tier — exactly how
-	// a wire mark survives reassembly and response echo in the functional
-	// stack. 0 disables marking.
-	MarkDepth int
 }
 
 // TierStats aggregates per-visit measurements at one tier.
@@ -101,13 +83,6 @@ type Result struct {
 	ReqSizes map[string][]int64          // tier -> request sizes
 	RspSizes map[string][]int64
 	Finished int
-	// Shed counts requests dropped by the dataplane shed policy before
-	// completing (only nonzero when Config.Shed is set). Shed requests do
-	// not contribute to the latency histograms: they have no completion.
-	Shed int
-	// Marked counts completed requests that picked up a congestion mark at
-	// any tier on their call tree (only nonzero when Config.MarkDepth > 0).
-	Marked int
 }
 
 // AllReqSizes flattens request sizes across tiers.
@@ -180,15 +155,7 @@ func Run(cfg RunConfig) *Result {
 			typeHist = stats.NewHistogram()
 			r.res.PerType[typ.Name] = typeHist
 		}
-		req := &reqState{start: start}
-		r.visit(typ.Root, req, func(net, comp sim.Time) {
-			if req.shed {
-				r.res.Shed++
-				return
-			}
-			if req.marked {
-				r.res.Marked++
-			}
+		r.visit(typ.Root, func(net, comp sim.Time) {
 			total := r.eng.Now() - start
 			r.res.E2E.Total.Record(int64(total))
 			r.res.E2E.Net.Record(int64(net))
@@ -203,29 +170,18 @@ func Run(cfg RunConfig) *Result {
 	return r.res
 }
 
-// reqState is one end-to-end request's budget bookkeeping: its virtual
-// arrival time (the budget's anchor), whether any tier has shed it, and
-// whether any tier's queue congestion-marked it. A shed request's remaining
-// visits short-circuit without occupying cores; a mark sticks for the rest
-// of the call tree (the wire stamp survives every hop).
-type reqState struct {
-	start  sim.Time
-	shed   bool
-	marked bool
-}
-
 // visit executes one call-tree node: queue for the tier's cores, pay
 // networking and compute costs, fan out to children in parallel, and
 // report this subtree's accumulated networking and compute time.
-func (r *runner) visit(c Call, req *reqState, done func(net, comp sim.Time)) {
+func (r *runner) visit(c Call, done func(net, comp sim.Time)) {
 	tier := &r.cfg.Graph.Tiers[c.Tier]
 	ts := r.res.PerTier[tier.Name]
 	for i := 0; i < max(1, c.Count); i++ {
-		r.visitOnce(tier, ts, c, req, done)
+		r.visitOnce(tier, ts, c, done)
 	}
 }
 
-func (r *runner) visitOnce(tier *Tier, ts *TierStats, c Call, req *reqState, done func(net, comp sim.Time)) {
+func (r *runner) visitOnce(tier *Tier, ts *TierStats, c Call, done func(net, comp sim.Time)) {
 	// Sample this visit's costs.
 	compute := tier.ComputeMean
 	if tier.ComputeSigma > 0 {
@@ -239,29 +195,8 @@ func (r *runner) visitOnce(tier *Tier, ts *TierStats, c Call, req *reqState, don
 
 	arrival := r.eng.Now()
 	core := r.cores[r.cfg.Graph.TierIndex(tier.Name)]
-	// ECN-style congestion marking at the tier's core queue: a visit that
-	// arrives to find the queue at or past the mark threshold stamps the
-	// request, and the stamp rides the request through the rest of its call
-	// tree to the completion (Result.Marked).
-	if r.cfg.MarkDepth > 0 && !req.marked && dataplane.Mark(core.QueueLen(), r.cfg.MarkDepth) {
-		req.marked = true
-	}
 	core.Acquire(func() {
 		queueWait := r.eng.Now() - arrival
-		// Shed-before-dispatch (the dataplane shed policy): when the
-		// request's budget expired while it queued, release the core
-		// without executing — the caller has already given up, so the
-		// occupancy would be pure waste. A request shed at any tier stays
-		// shed for the rest of its call tree.
-		if r.cfg.Shed && !req.shed {
-			elapsed := dataplane.ElapsedMicros(int64(r.eng.Now() - req.start))
-			req.shed = dataplane.ShouldShed(r.cfg.BudgetMicros, elapsed)
-		}
-		if req.shed {
-			core.Release()
-			done(queueWait, 0)
-			return
-		}
 		// Core occupancy: in shared mode the core also runs the RPC and
 		// TCP processing; isolated mode offloads it (it still takes wall
 		// time, on other cores, but does not occupy this tier's cores).
@@ -295,7 +230,7 @@ func (r *runner) visitOnce(tier *Tier, ts *TierStats, c Call, req *reqState, don
 			}
 			var maxNet, maxComp sim.Time
 			for _, ch := range c.Children {
-				r.visit(ch, req, func(n, cp sim.Time) {
+				r.visit(ch, func(n, cp sim.Time) {
 					if n > maxNet {
 						maxNet = n
 					}

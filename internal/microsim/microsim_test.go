@@ -145,46 +145,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-// TestCongestionMarksCarryTierToTier pins the microsim half of the closed
-// loop: under heavy load with marking enabled, requests that queue behind
-// the mark threshold at any tier complete marked; at trivial load, or with
-// marking disabled, no request is marked. Marks and sheds are orthogonal —
-// a shed request is not counted marked (it never completes).
-func TestCongestionMarksCarryTierToTier(t *testing.T) {
-	base := RunConfig{Graph: SocialNetwork(), Requests: 1500, Seed: 21, Mode: IsolatedNetworking}
-
-	hot := base
-	hot.QPS = 4000 // far past the graph's capacity: queues build at every tier
-	hot.MarkDepth = 8
-	res := Run(hot)
-	if res.Marked == 0 {
-		t.Fatal("overloaded run with marking enabled produced no marks")
-	}
-	if res.Marked > res.Finished {
-		t.Fatalf("marked %d > finished %d", res.Marked, res.Finished)
-	}
-
-	cold := base
-	cold.QPS = 50 // well under capacity: queues never reach the threshold
-	cold.MarkDepth = 8
-	if res := Run(cold); res.Marked != 0 {
-		t.Fatalf("uncongested run marked %d requests", res.Marked)
-	}
-
-	off := hot
-	off.MarkDepth = 0
-	if res := Run(off); res.Marked != 0 {
-		t.Fatalf("marking disabled but %d requests marked", res.Marked)
-	}
-
-	// Determinism: the mark count is part of the replayable result.
-	again := Run(hot)
-	if again.Marked != res.Marked || again.Finished != res.Finished {
-		t.Fatalf("marking not deterministic: %d/%d vs %d/%d",
-			again.Marked, again.Finished, res.Marked, res.Finished)
-	}
-}
-
 // Per-request-type latency: compose-post traverses the deep fan-out
 // (including the heavy Text subtree) and must be slower than the timeline
 // reads.

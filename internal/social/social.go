@@ -18,7 +18,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dagger/internal/core"
 	"dagger/internal/fabric"
@@ -132,20 +131,18 @@ func decodeComposeRequest(b []byte) (ComposeRequest, error) {
 
 // Config tunes the deployment.
 type Config struct {
-	// FlowsPerTier is each tier NIC's flow count (default 2).
-	FlowsPerTier int
-	// RingDepth is the per-flow RX ring depth (default 1024).
-	RingDepth int
 	// Users pre-registers this many user accounts (default 64).
 	Users int
-	// TimelineLength bounds per-user timelines (default 32).
-	TimelineLength int
 }
+
+const (
+	flowsPerTier   = 2  // each tier NIC's flow count
+	timelineLength = 32 // bound on a user's timeline
+)
 
 // App is a running Social Network deployment.
 type App struct {
 	Fabric *fabric.Fabric
-	cfg    Config
 
 	servers []*core.RpcThreadedServer
 	pools   []*core.RpcClientPool
@@ -182,20 +179,10 @@ func (tc *tierClient) pick(dst uint32) (*core.RpcClient, uint32) {
 
 // New builds and starts all tiers.
 func New(cfg Config) (*App, error) {
-	if cfg.FlowsPerTier <= 0 {
-		cfg.FlowsPerTier = 2
-	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 1024
-	}
 	if cfg.Users <= 0 {
 		cfg.Users = 64
 	}
-	if cfg.TimelineLength <= 0 {
-		cfg.TimelineLength = 32
-	}
 	a := &App{
-		cfg:       cfg,
 		Fabric:    fabric.NewFabric(),
 		timelines: map[string][]uint64{},
 		shortURLs: map[string]string{},
@@ -208,7 +195,7 @@ func New(cfg Config) (*App, error) {
 	}()
 
 	mkNIC := func(addr uint32) (*fabric.SoftNIC, error) {
-		n, err := a.Fabric.CreateNIC(addr, cfg.FlowsPerTier, cfg.RingDepth)
+		n, err := a.Fabric.CreateNIC(addr, flowsPerTier, fabric.DefaultRingDepth)
 		if err != nil {
 			return nil, err
 		}
@@ -232,7 +219,7 @@ func New(cfg Config) (*App, error) {
 		return nil
 	}
 	mkClients := func(nic *fabric.SoftNIC, dsts ...uint32) (*tierClient, error) {
-		pool, err := core.NewRpcClientPool(nic, cfg.FlowsPerTier)
+		pool, err := core.NewRpcClientPool(nic, flowsPerTier)
 		if err != nil {
 			return nil, err
 		}
@@ -253,7 +240,7 @@ func New(cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.postStore = mica.NewStore(cfg.FlowsPerTier, 1<<12, 1<<22)
+	a.postStore = mica.NewStore(flowsPerTier, 1<<12, 1<<22)
 	micaSrv, err := mica.Serve(postNIC, a.postStore, core.ServerConfig{})
 	if err != nil {
 		return nil, err
@@ -574,7 +561,7 @@ func New(cfg Config) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.clientPool, err = core.NewRpcClientPool(clientNIC, cfg.FlowsPerTier)
+	a.clientPool, err = core.NewRpcClientPool(clientNIC, flowsPerTier)
 	if err != nil {
 		return nil, err
 	}
@@ -672,8 +659,8 @@ func (a *App) composePost(ctx context.Context, tc *tierClient, cr ComposeRequest
 	}
 	a.mu.Lock()
 	tl := append([]uint64{post.ID}, a.timelines[post.Author]...)
-	if len(tl) > a.cfg.TimelineLength {
-		tl = tl[:a.cfg.TimelineLength]
+	if len(tl) > timelineLength {
+		tl = tl[:timelineLength]
 	}
 	a.timelines[post.Author] = tl
 	a.mu.Unlock()
@@ -747,8 +734,6 @@ func (a *App) Close() {
 	for _, n := range a.nics {
 		n.Close()
 	}
-	// Give in-flight dispatch goroutines a beat to observe closure.
-	time.Sleep(time.Millisecond)
 }
 
 func postKey(id uint64) []byte {

@@ -82,25 +82,26 @@ func TestReadUserTimeline(t *testing.T) {
 }
 
 func TestTimelineLengthBound(t *testing.T) {
-	app, err := New(Config{Users: 4, TimelineLength: 3})
+	app, err := New(Config{Users: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Close()
-	for i := 0; i < 6; i++ {
+	const posts = timelineLength + 3
+	for i := 0; i < posts; i++ {
 		if _, err := app.ComposePost("user0", fmt.Sprintf("p%d", i), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	posts, err := app.ReadUserTimeline("user0", 0)
+	tl, err := app.ReadUserTimeline("user0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(posts) != 3 {
-		t.Fatalf("timeline retained %d, want 3", len(posts))
+	if len(tl) != timelineLength {
+		t.Fatalf("timeline retained %d, want %d", len(tl), timelineLength)
 	}
-	if posts[0].Text != "p5" {
-		t.Fatalf("newest = %q", posts[0].Text)
+	if want := fmt.Sprintf("p%d", posts-1); tl[0].Text != want {
+		t.Fatalf("newest = %q, want %q", tl[0].Text, want)
 	}
 }
 

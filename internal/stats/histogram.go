@@ -14,27 +14,20 @@ import (
 // sub-buckets). It records int64 values — nanoseconds, bytes, counts — with
 // bounded relative error set by the sub-bucket resolution.
 type Histogram struct {
-	subBits uint // sub-buckets per octave = 1<<subBits
-
 	counts []uint64
 	total  uint64
 	min    int64
 	max    int64
 }
 
-// NewHistogram returns a histogram with 32 sub-buckets per power of two
-// (≈3% worst-case relative error), suitable for microsecond-scale latencies.
-func NewHistogram() *Histogram {
-	return NewHistogramPrecision(5)
-}
+// SubBits is the histogram precision shared by this package and
+// internal/metrics: 1<<SubBits = 32 sub-buckets per power of two (≈3%
+// worst-case relative error), suitable for microsecond-scale latencies.
+const SubBits = 5
 
-// NewHistogramPrecision returns a histogram with 1<<subBits sub-buckets per
-// power of two. subBits must be in [0, 10].
-func NewHistogramPrecision(subBits uint) *Histogram {
-	if subBits > 10 {
-		panic("stats: subBits too large")
-	}
-	return &Histogram{subBits: subBits, min: math.MaxInt64, max: math.MinInt64}
+// NewHistogram returns an empty histogram at SubBits precision.
+func NewHistogram() *Histogram {
+	return &Histogram{min: math.MaxInt64, max: math.MinInt64}
 }
 
 // BucketIndex returns the bucket holding value v in the log-bucketed
@@ -78,11 +71,11 @@ func NumBuckets(subBits uint) int {
 	return BucketIndex(subBits, math.MaxInt64) + 1
 }
 
-func (h *Histogram) bucketIndex(v int64) int { return BucketIndex(h.subBits, v) }
+func (h *Histogram) bucketIndex(v int64) int { return BucketIndex(SubBits, v) }
 
 // bucketLow returns the lowest value mapping to bucket i (inverse of
 // bucketIndex, used for percentile reconstruction).
-func (h *Histogram) bucketLow(i int) int64 { return BucketLow(h.subBits, i) }
+func (h *Histogram) bucketLow(i int) int64 { return BucketLow(SubBits, i) }
 
 // Record adds one observation.
 func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }

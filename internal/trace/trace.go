@@ -28,38 +28,25 @@ type Trace struct {
 
 // Collector accumulates traces; safe for concurrent use.
 type Collector struct {
-	mu      sync.Mutex
-	next    uint64
-	traces  []Trace
-	cap     int
-	dropped uint64
+	mu     sync.Mutex
+	traces []Trace
 }
 
-// NewCollector creates a collector retaining at most capTraces traces
-// (0 = unbounded).
-func NewCollector(capTraces int) *Collector {
-	return &Collector{cap: capTraces}
+// NewCollector creates an empty collector.
+func NewCollector() *Collector {
+	return &Collector{}
 }
 
-// Begin starts a new trace and returns its id. Traces beyond the retention
-// cap are not retained (lightweight by design) but are counted: Snapshot
-// reports how many, so a truncated profile is never mistaken for a complete
-// one.
+// Begin starts a new trace and returns its id.
 func (c *Collector) Begin() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.next++
-	id := c.next
-	if c.cap == 0 || len(c.traces) < c.cap {
-		c.traces = append(c.traces, Trace{ID: id})
-	} else {
-		c.dropped++
-	}
+	id := uint64(len(c.traces)) + 1
+	c.traces = append(c.traces, Trace{ID: id})
 	return id
 }
 
-// Record appends a span to trace id. Spans for traces beyond the retention
-// cap are dropped silently (lightweight by design).
+// Record appends a span to trace id. Spans for an unknown id are ignored.
 func (c *Collector) Record(id uint64, sp Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,16 +55,6 @@ func (c *Collector) Record(id uint64, sp Span) {
 		return
 	}
 	c.traces[idx].Spans = append(c.traces[idx].Spans, sp)
-}
-
-// Snapshot returns the collected traces together with the count of traces
-// dropped at the retention cap.
-func (c *Collector) Snapshot() ([]Trace, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Trace, len(c.traces))
-	copy(out, c.traces)
-	return out, c.dropped
 }
 
 // ServiceProfile aggregates one service's spans.
@@ -107,10 +84,6 @@ func (p ServiceProfile) MeanQueue() sim.Time {
 // Report is the analyzer output.
 type Report struct {
 	Profiles []ServiceProfile // sorted by TotalBusy descending
-	// Dropped is the number of traces the collector began but did not retain
-	// (retention cap); nonzero means the profile is computed from a prefix
-	// of the request population.
-	Dropped uint64
 }
 
 // Bottleneck returns the service with the largest aggregate busy time.
@@ -128,17 +101,15 @@ func (r Report) String() string {
 		out += fmt.Sprintf("  %-18s spans=%-7d busy(mean)=%-10v queue(mean)=%v\n",
 			p.Service, p.Spans, p.MeanBusy(), p.MeanQueue())
 	}
-	if r.Dropped > 0 {
-		out += fmt.Sprintf("  (truncated: %d traces dropped at the retention cap)\n", r.Dropped)
-	}
 	return out
 }
 
 // Analyze aggregates the collected traces into a bottleneck report.
 func (c *Collector) Analyze() Report {
-	traces, dropped := c.Snapshot()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	byService := map[string]*ServiceProfile{}
-	for _, tr := range traces {
+	for _, tr := range c.traces {
 		for _, sp := range tr.Spans {
 			p := byService[sp.Service]
 			if p == nil {
@@ -150,7 +121,7 @@ func (c *Collector) Analyze() Report {
 			p.TotalQueue += sp.Queue
 		}
 	}
-	rep := Report{Dropped: dropped}
+	var rep Report
 	for _, p := range byService {
 		rep.Profiles = append(rep.Profiles, *p)
 	}

@@ -171,10 +171,6 @@ type ReliableOptions struct {
 	// MaxWindow caps the congestion window (default 1024). Each peer's send
 	// ring has the next power of two at or above it.
 	MaxWindow float64
-	// Backoff schedules retransmission delays per attempt (exponential
-	// from RTO with deterministic seeded jitter by default). Base == 0
-	// selects the default derived from RTO.
-	Backoff retry.Policy
 }
 
 // NewReliable wraps inner with the reliability protocol.
@@ -191,19 +187,6 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 	if opts.MaxWindow <= 0 {
 		opts.MaxWindow = 1024
 	}
-	if opts.Backoff.Base <= 0 {
-		// Exponential backoff from RTO: successive retransmissions of the
-		// same packet wait longer, so a congested path is not hammered at a
-		// fixed cadence. Jitter decorrelates peers that lost packets in the
-		// same burst; the fixed seed keeps schedules reproducible.
-		opts.Backoff = retry.Policy{
-			Base:       opts.RTO,
-			Max:        8 * opts.RTO,
-			Multiplier: 2,
-			Jitter:     0.1,
-			Seed:       0xDA66,
-		}
-	}
 	slots := uint64(1)
 	for float64(slots) < opts.MaxWindow {
 		slots <<= 1
@@ -215,9 +198,19 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 		initWnd:    opts.InitialWindow,
 		maxWnd:     opts.MaxWindow,
 		mask:       slots - 1,
-		backoff:    opts.Backoff,
-		peers:      make(map[string]*peer),
-		stop:       make(chan struct{}),
+		// Exponential backoff from RTO: successive retransmissions of the
+		// same packet wait longer, so a congested path is not hammered at a
+		// fixed cadence. Jitter decorrelates peers that lost packets in the
+		// same burst; the fixed seed keeps schedules reproducible.
+		backoff: retry.Policy{
+			Base:       opts.RTO,
+			Max:        8 * opts.RTO,
+			Multiplier: 2,
+			Jitter:     0.1,
+			Seed:       0xDA66,
+		},
+		peers: make(map[string]*peer),
+		stop:  make(chan struct{}),
 	}
 	inner.SetHandler(r.onPacket)
 	r.wg.Add(1)
