@@ -87,13 +87,23 @@ func main() {
 	var wg sync.WaitGroup
 	for i := 0; i < pool.Size(); i++ {
 		cli := pool.Client(i)
-		mcdConn, _ := cli.OpenConnection(mcdAddr)
-		micaConn, _ := cli.OpenConnection(micaAddr)
-		echoConn, _ := cli.OpenConnection(echoAddr)
+		// The first connection a client opens becomes its default, which
+		// memcached.Client calls over.
+		if _, err := cli.OpenConnection(mcdAddr); err != nil {
+			log.Fatal(err)
+		}
+		micaConn, err := cli.OpenConnection(micaAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
+		echoConn, err := cli.OpenConnection(echoAddr)
+		if err != nil {
+			log.Fatal(err)
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			mcdCli := memcached.NewClient(cli) // mcdConn is the default (first)
+			mcdCli := memcached.NewClient(cli)
 			micaCli := mica.NewClientConn(cli, micaConn)
 			for j := 0; j < 200; j++ {
 				key := fmt.Sprintf("w%d-k%d", i, j)
@@ -110,7 +120,6 @@ func main() {
 					return
 				}
 			}
-			_ = mcdConn
 		}(i)
 	}
 	wg.Wait()

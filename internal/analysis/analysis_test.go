@@ -216,10 +216,9 @@ func TestRepoClean(t *testing.T) {
 		"../sim", "../dataplane", "../connstate", "../interconnect", "../nicmodel",
 		"../netmodel", "../microsim", "../experiments",
 		"../core", "../transport", "../fabric", "../ringbuf", "../wire",
-		"../faults",
+		"../faults", "../flight", "../kvs/mica", "../kvs/memcached",
 		"../../examples/quickstart", "../../examples/kvs",
-		"../../examples/flight", "../../examples/socialnet",
-		"../../examples/multitenant",
+		"../../examples/flight", "../../examples/multitenant",
 	}
 	for _, dir := range dirs {
 		pkgs := []*Package{}

@@ -46,7 +46,6 @@ var BudgetFlow = &Analyzer{
 // boundary carry budgets as wire words, not contexts.
 var budgetScopes = []string{
 	"dagger/internal/core",
-	"dagger/internal/social",
 	"dagger/internal/flight",
 	"dagger/internal/kvs",
 	"dagger/internal/experiments",

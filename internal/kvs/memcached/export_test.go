@@ -30,14 +30,26 @@ func (s *Store) Bytes() int64 {
 
 // Get fetches key; a NOT_FOUND reply maps back to ErrNotFound.
 func (mc *Client) Get(key string) (Item, error) {
-	return mc.GetContext(context.Background(), key)
+	e := wire.NewEncoder(nil)
+	e.Bytes16([]byte(key))
+	out, err := mc.c.CallContext(context.Background(), FnGet, e.Bytes())
+	if err != nil {
+		return Item{}, err
+	}
+	d := wire.NewDecoder(out)
+	if !d.Bool() {
+		return Item{}, ErrNotFound
+	}
+	item := Item{Key: key, Flags: d.Uint32(), CAS: d.Uint64()}
+	item.Value = append([]byte(nil), d.Bytes16()...)
+	return item, d.Err()
 }
 
 // Delete removes key over the wire; it reports whether the key existed.
 func (mc *Client) Delete(key string) (bool, error) {
 	e := wire.NewEncoder(nil)
 	e.Bytes16([]byte(key))
-	out, err := mc.call(context.Background(), FnDelete, e.Bytes())
+	out, err := mc.c.CallContext(context.Background(), FnDelete, e.Bytes())
 	if err != nil {
 		return false, err
 	}
@@ -54,7 +66,7 @@ func (mc *Client) CompareAndSwap(key string, value []byte, flags uint32, cas uin
 	e.Uint32(flags)
 	e.Uint64(cas)
 	e.Bytes16(value)
-	out, err := mc.call(context.Background(), FnCAS, e.Bytes())
+	out, err := mc.c.CallContext(context.Background(), FnCAS, e.Bytes())
 	if err != nil {
 		return 0, err
 	}

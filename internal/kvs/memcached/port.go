@@ -113,42 +113,11 @@ const (
 
 // Client is a typed memcached client over a Dagger RpcClient.
 type Client struct {
-	c    *core.RpcClient
-	conn uint32 // 0 = the client's default connection
+	c *core.RpcClient
 }
 
 // NewClient wraps an RpcClient (with an open connection to the server).
 func NewClient(c *core.RpcClient) *Client { return &Client{c: c} }
-
-// NewClientConn wraps an RpcClient using a specific connection — for
-// clients holding connections to several services over one ring.
-func NewClientConn(c *core.RpcClient, connID uint32) *Client {
-	return &Client{c: c, conn: connID}
-}
-
-func (mc *Client) call(ctx context.Context, fnID uint16, req []byte) ([]byte, error) {
-	if mc.conn != 0 {
-		return mc.c.CallConnContext(ctx, mc.conn, fnID, req)
-	}
-	return mc.c.CallContext(ctx, fnID, req)
-}
-
-// GetContext is Get under ctx's deadline/cancellation.
-func (mc *Client) GetContext(ctx context.Context, key string) (Item, error) {
-	e := wire.NewEncoder(nil)
-	e.Bytes16([]byte(key))
-	out, err := mc.call(ctx, FnGet, e.Bytes())
-	if err != nil {
-		return Item{}, err
-	}
-	d := wire.NewDecoder(out)
-	if !d.Bool() {
-		return Item{}, ErrNotFound
-	}
-	item := Item{Key: key, Flags: d.Uint32(), CAS: d.Uint64()}
-	item.Value = append([]byte(nil), d.Bytes16()...)
-	return item, d.Err()
-}
 
 // Set stores key=value and returns the CAS token.
 func (mc *Client) Set(key string, value []byte, flags uint32) (uint64, error) {
@@ -161,7 +130,7 @@ func (mc *Client) SetContext(ctx context.Context, key string, value []byte, flag
 	e.Bytes16([]byte(key))
 	e.Uint32(flags)
 	e.Bytes16(value)
-	out, err := mc.call(ctx, FnSet, e.Bytes())
+	out, err := mc.c.CallContext(ctx, FnSet, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
