@@ -102,20 +102,20 @@ func TestCloseConnectionElectsLowestSurvivor(t *testing.T) {
 			t.Fatal(err)
 		}
 		cli.mu.Lock()
-		got, has := cli.defaultConn, cli.hasConn
+		got := cli.defaultConn // 0: no default
 		cli.mu.Unlock()
-		if !has || got != ids[1] {
-			t.Fatalf("round %d: default after close = %d (has=%v), want lowest survivor %d",
-				round, got, has, ids[1])
+		if got != ids[1] {
+			t.Fatalf("round %d: default after close = %d, want lowest survivor %d",
+				round, got, ids[1])
 		}
 		// Closing a non-default connection must not move the default.
 		if err := cli.CloseConnection(ids[3]); err != nil {
 			t.Fatal(err)
 		}
 		cli.mu.Lock()
-		got, has = cli.defaultConn, cli.hasConn
+		got = cli.defaultConn
 		cli.mu.Unlock()
-		if !has || got != ids[1] {
+		if got != ids[1] {
 			t.Fatalf("round %d: default moved to %d after closing non-default", round, got)
 		}
 		cli.Close()

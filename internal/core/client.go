@@ -94,6 +94,13 @@ func releaseTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
+// clientConn is one open connection: its destination and its AIMD window,
+// opened at dataplane.DefaultMaxWindow.
+type clientConn struct {
+	dst uint32
+	win dataplane.Window
+}
+
 // RpcClient issues RPCs over one NIC flow (its RX/TX ring pair, Figure 7).
 // A client may hold several open connections; they share the ring (the SRQ
 // model, §4.2), so Send is internally synchronized.
@@ -106,14 +113,12 @@ type RpcClient struct {
 	timeout atomic.Int64 // nanoseconds; 0 disables the call timeout
 
 	mu      sync.Mutex
-	conns   map[uint32]uint32            // connID -> destination address
-	cong    map[uint32]*dataplane.Window // connID -> AIMD window, opened at dataplane.DefaultMaxWindow
+	conns   map[uint32]*clientConn
 	nextRPC uint64
 	pending map[uint64]*call
-	closed  bool // set by Close once it has completed the pending async calls
+	closed  bool // set by Close once it has ended the pending calls
 
-	defaultConn uint32
-	hasConn     bool
+	defaultConn uint32 // Call/CallAsync's connection; 0: none (IDs start at flowID+1)
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -121,10 +126,9 @@ type RpcClient struct {
 
 	// Counters. metrics.Counter is a drop-in for the atomic.Uint64 these
 	// grew up as; every client registers them in its metrics registry.
-	Issued    metrics.Counter
-	Completed metrics.Counter
-	TimedOut  metrics.Counter
-	Canceled  metrics.Counter
+	Issued   metrics.Counter
+	TimedOut metrics.Counter
+	Canceled metrics.Counter
 	// Marks counts responses that arrived carrying a congestion mark;
 	// Refused counts issues rejected client-side by a full congestion
 	// window (ErrCongested — the request never reached the NIC).
@@ -134,9 +138,11 @@ type RpcClient struct {
 	// connection cache (the echoed wire.FlagConnMiss): nonzero means the
 	// active connection working set no longer fits near memory (§4.2).
 	ConnMisses metrics.Counter
-	// Late counts responses that arrived after their call was abandoned
-	// (timeout/cancel) or that duplicated an already-completed RPC — the
-	// observable trace of the fabric's at-least-once delivery under faults.
+	// Completed counts calls ended by a response, whatever its outcome.
+	Completed metrics.Counter
+	// Late counts responses that found their call already ended: by a
+	// give-up (timeout/cancel), by Close, or by an earlier copy of the
+	// response — the trace of the fabric's at-least-once delivery.
 	Late metrics.Counter
 	// PeerDead counts calls failed by a transport dead-letter verdict
 	// (ErrPeerDead).
@@ -167,8 +173,8 @@ func (c *RpcClient) describeMetrics(reg *metrics.Registry) {
 func (c *RpcClient) backoffScale(connID uint32) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cc := c.cong[connID]; cc != nil {
-		return dataplane.BackoffScale(cc.LastHint)
+	if cc := c.conns[connID]; cc != nil {
+		return dataplane.BackoffScale(cc.win.LastHint)
 	}
 	return 1
 }
@@ -186,8 +192,7 @@ func NewRpcClient(nic *fabric.SoftNIC, flowID int) (*RpcClient, error) {
 		flowID:  uint16(flowID),
 		flow:    fl,
 		cq:      NewCompletionQueue(),
-		conns:   make(map[uint32]uint32),
-		cong:    make(map[uint32]*dataplane.Window),
+		conns:   make(map[uint32]*clientConn),
 		pending: make(map[uint64]*call),
 		stop:    make(chan struct{}),
 	}
@@ -236,12 +241,9 @@ func (c *RpcClient) OpenConnection(dstAddr uint32) (uint32, error) {
 		}
 		id += nflows
 	}
-	c.conns[id] = dstAddr
-	w := dataplane.NewWindow(dataplane.DefaultMaxWindow)
-	c.cong[id] = &w
-	if !c.hasConn {
+	c.conns[id] = &clientConn{dst: dstAddr, win: dataplane.NewWindow(dataplane.DefaultMaxWindow)}
+	if c.defaultConn == 0 {
 		c.defaultConn = id
-		c.hasConn = true
 	}
 	return id, nil
 }
@@ -255,19 +257,17 @@ func (c *RpcClient) OpenConnection(dstAddr uint32) (uint32, error) {
 // calls on the closed ID fail with ErrConnNotOpen.
 func (c *RpcClient) CloseConnection(id uint32) error {
 	c.mu.Lock()
-	dst, ok := c.conns[id]
+	cc, ok := c.conns[id]
 	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrConnNotOpen, id)
 	}
 	delete(c.conns, id)
-	delete(c.cong, id)
 	if c.defaultConn == id {
-		c.hasConn = false
+		c.defaultConn = 0
 		for rest := range c.conns {
-			if !c.hasConn || rest < c.defaultConn {
+			if c.defaultConn == 0 || rest < c.defaultConn {
 				c.defaultConn = rest
-				c.hasConn = true
 			}
 		}
 	}
@@ -279,7 +279,7 @@ func (c *RpcClient) CloseConnection(id uint32) error {
 		ConnID:  id,
 		FlowID:  c.flowID,
 		SrcAddr: c.nic.Addr(),
-		DstAddr: dst,
+		DstAddr: cc.dst,
 	}}
 	_ = c.nic.Send(&m)
 	return nil
@@ -298,14 +298,22 @@ func (c *RpcClient) Call(fnID uint16, req []byte) ([]byte, error) {
 // expires; ctx cancellation or expiry abandons the call promptly (pooled
 // buffers are repaid by the receive path when a late response arrives).
 func (c *RpcClient) CallContext(ctx context.Context, fnID uint16, req []byte) ([]byte, error) {
-	c.mu.Lock()
-	conn := c.defaultConn
-	ok := c.hasConn
-	c.mu.Unlock()
-	if !ok {
-		return nil, errNoConn
+	conn, err := c.defaultConnID()
+	if err != nil {
+		return nil, err
 	}
 	return c.CallConnContext(ctx, conn, fnID, req)
+}
+
+// defaultConnID returns the default connection, or errNoConn when none is
+// open.
+func (c *RpcClient) defaultConnID() (uint32, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.defaultConn == 0 {
+		return 0, errNoConn
+	}
+	return c.defaultConn, nil
 }
 
 // CallConn issues a blocking RPC on a specific connection.
@@ -325,51 +333,37 @@ func (c *RpcClient) CallConnContext(ctx context.Context, connID uint32, fnID uin
 		return nil, err
 	}
 	var timerC <-chan time.Time
-	var t *time.Timer
 	if timeout := time.Duration(c.timeout.Load()); timeout > 0 {
-		t = acquireTimer(timeout)
+		t := acquireTimer(timeout)
+		defer releaseTimer(t)
 		timerC = t.C
 	}
 	select {
 	case <-cl.done:
 	case <-ctx.Done():
-		// Cancellation or deadline expiry: abandon the call. The receive
-		// path repays the pooled response buffer if a late response lands.
-		if c.abandon(cl) {
+		err = ctx.Err()
+	case <-timerC:
+		err = ErrTimeout
+	}
+	return c.settle(cl, err)
+}
+
+// settle ends a sync call's wait: err is nil when done fired, else why the
+// caller gave up (ctx or timeout). A give-up that wins claim counts TimedOut
+// or Canceled; one that loses takes the winner's outcome (a response or
+// Close) from done. deliver repays a response that comes later.
+func (c *RpcClient) settle(cl *call, err error) ([]byte, error) {
+	if err != nil {
+		if c.claim(cl.id, nil) == cl {
 			c.release(cl)
-			if t != nil {
-				releaseTimer(t)
-			}
-			err := ctx.Err()
-			if errors.Is(err, context.DeadlineExceeded) {
-				c.TimedOut.Add(1)
-			} else {
+			if errors.Is(err, context.Canceled) {
 				c.Canceled.Add(1)
+			} else {
+				c.TimedOut.Add(1)
 			}
 			return nil, err
 		}
-		// The response raced in: the receive path owns the call and is
-		// about to signal it. Consume the completion instead.
 		<-cl.done
-	case <-timerC:
-		if c.abandon(cl) {
-			c.release(cl)
-			releaseTimer(t)
-			c.TimedOut.Add(1)
-			return nil, ErrTimeout
-		}
-		// The response raced in between the timer firing and the
-		// abandon: the receive path owns the call and is about to
-		// signal it. Consume the completion instead of timing out.
-		<-cl.done
-	case <-c.stop:
-		if t != nil {
-			releaseTimer(t)
-		}
-		return nil, ErrClientClose
-	}
-	if t != nil {
-		releaseTimer(t)
 	}
 	resp, rerr := cl.resp, cl.err
 	c.release(cl)
@@ -387,14 +381,12 @@ func (c *RpcClient) CallAsync(fnID uint16, req []byte, cb func([]byte, error)) e
 // time — an expired or canceled ctx fails fast, and a ctx deadline is stamped
 // into the header so downstream tiers shed the request once it expires — but
 // a cancellation after issue does not revoke the callback: the response, or
-// Close with ErrClientClose, completes it. No client timeout applies.
+// Close with ErrClientClose, completes it once — the CompletionQueue entry
+// first, then cb. No client timeout applies.
 func (c *RpcClient) CallAsyncContext(ctx context.Context, fnID uint16, req []byte, cb func([]byte, error)) error {
-	c.mu.Lock()
-	conn := c.defaultConn
-	ok := c.hasConn
-	c.mu.Unlock()
-	if !ok {
-		return errNoConn
+	conn, err := c.defaultConnID()
+	if err != nil {
+		return err
 	}
 	return c.CallConnAsyncContext(ctx, conn, fnID, req, cb)
 }
@@ -448,13 +440,12 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 		c.mu.Unlock()
 		return nil, ErrClientClose
 	}
-	dst, ok := c.conns[connID]
+	cc, ok := c.conns[connID]
 	if !ok {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %d", ErrConnNotOpen, connID)
 	}
-	cc := c.cong[connID]
-	if cc != nil && cc.Full() {
+	if cc.win.Full() {
 		// AIMD window full: refuse locally instead of piling onto a queue
 		// that just told us it is congested. Nothing was sent, so the
 		// caller (typically CallRetry) can back off and try again.
@@ -462,9 +453,8 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 		c.Refused.Add(1)
 		return nil, ErrCongested
 	}
-	if cc != nil {
-		cc.InFlight++
-	}
+	cc.win.InFlight++
+	dst := cc.dst
 	c.nextRPC++
 	id := c.nextRPC
 	cl := callPool.Get().(*call)
@@ -491,11 +481,14 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	}
 	if err := c.nic.Send(&m); err != nil {
 		// The frame never entered a ring, so no response can arrive for
-		// this RPC id; the call is safe to recycle once unregistered. If
-		// Close claimed the (async) call first, its callback has already
-		// reported ErrClientClose, so the send error is not reported twice.
-		if !c.abandon(cl) {
-			return nil, nil
+		// this RPC id. If another path (Close) claimed the call first, it
+		// has reported the call: an async call is recycled by now and must
+		// not be read, and a sync caller takes that outcome from done.
+		if c.claim(id, nil) != cl {
+			if !sync {
+				return nil, nil
+			}
+			return cl, nil
 		}
 		c.release(cl)
 		return nil, err
@@ -504,48 +497,67 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	return cl, nil
 }
 
-// abandon unregisters cl from the pending table, returning true if this
-// caller won ownership of the call. A false return means the receive path
-// already claimed it and will (or did) complete it.
-func (c *RpcClient) abandon(cl *call) bool {
+// claim takes call id out of pending and frees its window slot; nil means
+// another path already took the call. resp is the response ending the call
+// (its congestion signal feeds the window), or nil when none does.
+func (c *RpcClient) claim(id uint64, resp *wire.Header) *call {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.pending[cl.id]; ok && cur == cl {
-		delete(c.pending, cl.id)
-		// The call will never complete through the receive path, so its
-		// congestion-window slot frees here. Whoever removes the pending
-		// entry — this abandon or the receive path — decrements exactly once.
-		if cc := c.cong[cl.conn]; cc != nil {
-			cc.Release()
-		}
-		return true
-	}
-	return false
+	cl := c.claimLocked(id, resp)
+	c.mu.Unlock()
+	return cl
 }
 
-// release returns a call to the pool. The caller must own the call (have
-// received its done signal, or won abandon).
+// claimLocked is claim with c.mu held. RPC ids are the window's issue
+// sequence, so marks on calls issued before the last decrease are absorbed.
+func (c *RpcClient) claimLocked(id uint64, resp *wire.Header) *call {
+	cl, ok := c.pending[id]
+	if !ok {
+		return nil
+	}
+	delete(c.pending, id)
+	if cc := c.conns[cl.conn]; cc != nil {
+		if resp != nil {
+			cc.win.OnResponse(resp.RPCID, c.nextRPC, resp.Congested(), resp.Occupancy)
+		} else {
+			cc.win.Release()
+		}
+	}
+	return cl
+}
+
+// finish reports a claimed call's outcome. A sync call stores it and
+// signals done, and its waiter recycles the call; an async call enqueues its
+// Completion, then runs its callback, then is recycled.
+func (c *RpcClient) finish(cl *call, resp []byte, err error) {
+	if cl.sync {
+		// Ownership of resp transfers to the blocked caller; the
+		// CompletionQueue only accumulates asynchronous completions.
+		cl.resp, cl.err = resp, err
+		cl.done <- struct{}{}
+		return
+	}
+	c.cq.complete(Completion{RPCID: cl.id, FnID: cl.fn, Resp: resp, Err: err})
+	if cl.cb != nil {
+		cl.cb(resp, err)
+	}
+	c.release(cl)
+}
+
+// release returns a call to the pool. The caller must own the call: a sync
+// waiter after its done signal or a won claim, or finish for an async call.
 func (c *RpcClient) release(cl *call) {
 	select {
 	case <-cl.done: // drain a stale signal so the next user starts clean
 	default:
 	}
-	cl.id = 0
-	cl.conn = 0
-	cl.fn = 0
-	cl.sync = false
-	cl.cb = nil
-	cl.resp = nil
-	cl.err = nil
+	*cl = call{done: cl.done}
 	callPool.Put(cl)
 }
 
 // recvLoop is the client's receive path: it drains the flow's RX ring,
 // opens each whole frame (wire.OpenFrame: one header parse, one payload
-// copy), matches responses to pending calls, and completes them. Frames are
-// recycled to the flow's buffer pool as soon as they are opened; payloads
-// are handed to callers owned (synchronous calls) or parked in the
-// CompletionQueue (asynchronous).
+// copy) and hands responses to deliver. Frames are recycled to the flow's
+// buffer pool as soon as they are opened.
 func (c *RpcClient) recvLoop() {
 	defer c.recvWG.Done()
 	pool := c.flow.Buffers()
@@ -563,95 +575,72 @@ func (c *RpcClient) recvLoop() {
 			pool.Put(m.Payload)
 			continue
 		}
-		c.mu.Lock()
-		cl, ok := c.pending[m.RPCID]
-		if ok {
-			delete(c.pending, m.RPCID)
-			c.noteCompletionLocked(cl.conn, &m.Header)
-		}
-		c.mu.Unlock()
-		if !ok {
-			// Late response: the call timed out/was canceled, or this is a
-			// duplicate of an already-completed RPC (at-least-once delivery
-			// under fault injection). Repay the loan and count it.
-			c.Late.Add(1)
-			pool.Put(m.Payload)
-			continue
-		}
-		if m.Congested() {
-			c.Marks.Add(1)
-		}
-		if m.ConnMissed() {
-			c.ConnMisses.Add(1)
-		}
-		var resp []byte
-		var rerr error
-		switch {
-		case m.Flags&wire.FlagDead != 0:
-			// Synthetic dead-letter response from the transport bridge: the
-			// request was abandoned after exhausting retransmissions.
-			rerr = ErrPeerDead
-			c.PeerDead.Add(1)
-			pool.Put(m.Payload)
-		case m.Flags&flagShed != 0:
-			rerr = ErrShed
-			pool.Put(m.Payload)
-		case m.Flags&flagError != 0:
-			rerr = fmt.Errorf("%w: %s", ErrRemote, string(m.Payload))
-			pool.Put(m.Payload)
-		default:
-			resp = m.Payload
-		}
-		c.Completed.Add(1)
-		if cl.sync {
-			// Ownership of resp transfers to the blocked caller; the
-			// CompletionQueue only accumulates asynchronous completions.
-			cl.resp, cl.err = resp, rerr
-			cl.done <- struct{}{}
-			continue
-		}
-		c.cq.complete(Completion{RPCID: m.RPCID, FnID: m.FnID, Resp: resp, Err: rerr})
-		if cl.cb != nil {
-			cl.cb(resp, rerr)
-		}
-		c.release(cl)
+		c.deliver(m)
 	}
 }
 
-// noteCompletionLocked applies one response's congestion signal to its
-// connection's window. Callers hold c.mu. RPC ids are the window's issue
-// sequence, so marks on calls issued before the last decrease are absorbed.
-func (c *RpcClient) noteCompletionLocked(connID uint32, h *wire.Header) {
-	if cc := c.cong[connID]; cc != nil {
-		cc.OnResponse(h.RPCID, c.nextRPC, h.Congested(), h.Occupancy)
+// deliver ends the pending call a response names. Its payload is handed to
+// the caller owned (synchronous calls) or parked in the CompletionQueue
+// (asynchronous); a response that finds no pending call is repaid and
+// counted in Late.
+func (c *RpcClient) deliver(m wire.Message) {
+	pool := c.flow.Buffers()
+	cl := c.claim(m.RPCID, &m.Header)
+	if cl == nil {
+		// Late response: the call timed out/was canceled or closed, or this
+		// is a duplicate of an already-completed RPC (at-least-once delivery
+		// under fault injection). Repay the loan and count it.
+		c.Late.Add(1)
+		pool.Put(m.Payload)
+		return
 	}
+	if m.Congested() {
+		c.Marks.Add(1)
+	}
+	if m.ConnMissed() {
+		c.ConnMisses.Add(1)
+	}
+	var resp []byte
+	var rerr error
+	switch {
+	case m.Flags&wire.FlagDead != 0:
+		// Synthetic dead-letter response from the transport bridge: the
+		// request was abandoned after exhausting retransmissions.
+		rerr = ErrPeerDead
+		c.PeerDead.Add(1)
+		pool.Put(m.Payload)
+	case m.Flags&flagShed != 0:
+		rerr = ErrShed
+		pool.Put(m.Payload)
+	case m.Flags&flagError != 0:
+		rerr = fmt.Errorf("%w: %s", ErrRemote, string(m.Payload))
+		pool.Put(m.Payload)
+	default:
+		resp = m.Payload
+	}
+	c.Completed.Add(1)
+	c.finish(cl, resp, rerr)
 }
 
-// Close shuts the client down. In-flight synchronous calls return
-// ErrClientClose. Pending asynchronous calls complete with ErrClientClose,
-// in issue order, as the receive path completes a response: the
-// CompletionQueue entry first, then the callback.
+// Close shuts the client down. It stops the receive path, then ends every
+// pending call with ErrClientClose, in issue order, through the same finish
+// as a response: a sync caller still waiting gets ErrClientClose once the
+// receive path has stopped, and an async call gets its CompletionQueue entry
+// first, then its callback, before Close returns. Calls issued after Close
+// fail with ErrClientClose.
 func (c *RpcClient) Close() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.recvWG.Wait()
 	c.mu.Lock()
 	c.closed = true
-	async := make([]*call, 0, len(c.pending))
-	for id, cl := range c.pending {
-		if !cl.sync {
-			delete(c.pending, id)
-			async = append(async, cl)
-		}
+	ended := make([]*call, 0, len(c.pending))
+	for id := range c.pending {
+		ended = append(ended, c.claimLocked(id, nil))
 	}
 	c.mu.Unlock()
-	slices.SortFunc(async, func(a, b *call) int { return cmp.Compare(a.id, b.id) })
-	// The calls are not recycled: an issuer whose send failed may still hold
-	// one, to find through abandon that Close claimed it.
-	for _, cl := range async {
-		c.cq.complete(Completion{RPCID: cl.id, FnID: cl.fn, Err: ErrClientClose})
-		if cl.cb != nil {
-			cl.cb(nil, ErrClientClose)
-		}
+	slices.SortFunc(ended, func(a, b *call) int { return cmp.Compare(a.id, b.id) })
+	for _, cl := range ended {
+		c.finish(cl, nil, ErrClientClose)
 	}
 }
 

@@ -159,12 +159,12 @@ func TestClientCongestionLoop(t *testing.T) {
 		t.Fatalf("client saw %d marked responses, want %d", got, ringDepth/2)
 	}
 	cli.mu.Lock()
-	cc := cli.cong[conn]
+	cc := cli.conns[conn]
 	if cc == nil {
 		cli.mu.Unlock()
 		t.Fatal("connection 1 reports no congestion state")
 	}
-	st := *cc
+	st := cc.win
 	cli.mu.Unlock()
 	if st.Marks != ringDepth/2 || st.Cleans != ringDepth/2+1 {
 		t.Fatalf("marks/cleans = %d/%d, want %d/%d", st.Marks, st.Cleans, ringDepth/2, ringDepth/2+1)
@@ -199,8 +199,8 @@ func TestCongestionWindowRefusal(t *testing.T) {
 
 	// Clamp the window to 1 as if heavy marking had collapsed it.
 	cli.mu.Lock()
-	cli.cong[conn].Size = 1
-	cli.cong[conn].LastHint = 255
+	cli.conns[conn].win.Size = 1
+	cli.conns[conn].win.LastHint = 255
 	cli.mu.Unlock()
 
 	var wg sync.WaitGroup
@@ -245,7 +245,7 @@ func TestCongestionWindowRefusal(t *testing.T) {
 	wg.Wait()
 
 	cli.mu.Lock()
-	st := *cli.cong[conn]
+	st := cli.conns[conn].win
 	cli.mu.Unlock()
 	if st.InFlight != 0 {
 		t.Fatalf("inflight = %d after completions", st.InFlight)

@@ -484,3 +484,24 @@ func TestRetryableClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneContextFailsFast pins the pre-issue check: a ctx that is already
+// canceled or past its deadline fails the call before anything is sent, and
+// counts under Canceled or TimedOut.
+func TestDoneContextFailsFast(t *testing.T) {
+	cli, _, shutdown := testPair(t, ServerConfig{})
+	defer shutdown()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := cli.CallContext(canceled, 0, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled ctx: err = %v", err)
+	}
+	if err := cli.CallAsyncContext(expired, 0, nil, func([]byte, error) { t.Error("callback of a refused call ran") }); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired ctx: err = %v", err)
+	}
+	if c, to, iss := cli.Canceled.Load(), cli.TimedOut.Load(), cli.Issued.Load(); c != 1 || to != 1 || iss != 0 {
+		t.Fatalf("Canceled, TimedOut, Issued = %d, %d, %d; want 1, 1, 0", c, to, iss)
+	}
+}

@@ -152,3 +152,51 @@ func TestStopDrainsWorkerQueue(t *testing.T) {
 		t.Fatalf("server flow pool unbalanced after Stop: gets=%d puts=%d", gets, puts)
 	}
 }
+
+// TestStopRepaysEveryParkedRequest pins both shutdown repayments of the
+// WorkerThreads model without a worker to race them: a one-slot queue holds
+// the first request, so the dispatch loop is parked at the enqueue of the
+// second when the server stops. The loop must repay the second (its
+// shutdown branch) and Stop the first (its queue drain).
+func TestStopRepaysEveryParkedRequest(t *testing.T) {
+	fab := fabric.NewFabric()
+	clientNIC, err := fab.CreateNIC(0x0A000001, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serverNIC, err := fab.CreateNIC(0x0A000002, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewRpcThreadedServer(serverNIC, ServerConfig{Threading: WorkerThreads})
+	srv.work = make(chan workItem, 1)
+	srv.wg.Add(1)
+	go srv.dispatchLoop(srv.threads[0])
+
+	pool := srv.threads[0].flow.Buffers()
+	before, _ := pool.Loans()
+	for id := uint64(1); id <= 2; id++ {
+		req := wire.Message{
+			Header:  wire.Header{Kind: wire.KindRequest, ConnID: 1, RPCID: id, SrcAddr: 0x0A000001, DstAddr: 0x0A000002},
+			Payload: []byte("ping"),
+		}
+		if err := clientNIC.Send(&req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each request lends its frame (Send) and its payload (OpenFrame); the
+	// fourth loan is the second request's payload, opened after the first
+	// was queued.
+	deadline := time.Now().Add(5 * time.Second)
+	for gets, _ := pool.Loans(); gets < before+4; gets, _ = pool.Loans() {
+		if time.Now().After(deadline) {
+			t.Fatal("dispatch loop never opened the second request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	srv.Stop()
+	if gets, puts := pool.Loans(); gets != puts {
+		t.Fatalf("server flow pool unbalanced after Stop: gets=%d puts=%d", gets, puts)
+	}
+}

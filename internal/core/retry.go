@@ -27,12 +27,9 @@ func Retryable(err error) bool {
 // cannot absorb the next backoff delay (retry.ErrBudgetExhausted wraps the
 // last RPC error in that case).
 func (c *RpcClient) CallRetry(ctx context.Context, p retry.Policy, fnID uint16, req []byte) ([]byte, error) {
-	c.mu.Lock()
-	conn := c.defaultConn
-	ok := c.hasConn
-	c.mu.Unlock()
-	if !ok {
-		return nil, errNoConn
+	conn, err := c.defaultConnID()
+	if err != nil {
+		return nil, err
 	}
 	return c.CallConnRetry(ctx, p, conn, fnID, req)
 }
