@@ -19,8 +19,11 @@
 //
 //	go run deadexports.go
 //
-// Each line is "path:line  package.Identifier"; two empty sections mean
-// nothing is dead.
+// Each line is "path:line<TAB>package.Identifier", sorted by identifier;
+// two empty sections mean nothing is dead. deadexports.golden holds the
+// expected report with the path:line column cut away, and CI diffs it:
+//
+//	go run deadexports.go | cut -f2 | diff -u deadexports.golden -
 package main
 
 import (
@@ -115,8 +118,17 @@ func main() {
 			}
 		}
 	}
-	sort.Strings(dead)
-	sort.Strings(unwritten)
+	// Sort by identifier, not position, so the list with its path:line
+	// column cut away (deadexports.golden) does not move when code does.
+	byName := func(l []string) {
+		sort.Slice(l, func(i, j int) bool {
+			_, a, _ := strings.Cut(l[i], "\t")
+			_, b, _ := strings.Cut(l[j], "\t")
+			return a < b
+		})
+	}
+	byName(dead)
+	byName(unwritten)
 	for _, d := range dead {
 		fmt.Println(d)
 	}

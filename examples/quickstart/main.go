@@ -89,5 +89,11 @@ func main() {
 		}
 	}
 	wg.Wait()
-	fmt.Printf("completion queue drained %d entries\n", cli.CompletionQueue().Total())
+	// Every async completion was also queued before its callback ran; poll
+	// them and return their reply buffers to the client's pool.
+	done := cli.CompletionQueue().Poll(0)
+	for _, c := range done {
+		cli.Release(c.Resp)
+	}
+	fmt.Printf("completion queue drained %d entries\n", len(done))
 }

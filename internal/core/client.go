@@ -36,15 +36,15 @@ var (
 	// ErrCongested reports that the connection's congestion window is full:
 	// recent responses carried congestion marks and the AIMD reaction has
 	// capped the in-flight count. The request was never sent, so it is
-	// always safe to retry (CallRetry does, with scaled backoff).
+	// always safe to retry once the window reopens.
 	ErrCongested = errors.New("core: connection congestion window full")
 	// ErrPeerDead reports that the transport layer gave up delivering the
 	// request after exhausting retransmissions: the peer (or the path to it)
 	// is dead, and the synthetic wire.FlagDead response that carries this
 	// verdict let the call fail fast instead of burning its full timeout.
-	// Deliberately NOT retryable via CallRetry — re-sending into a dead path
-	// converts one fast failure into MaxRetries slow ones; callers that want
-	// failover should re-resolve the route first.
+	// Re-sending into a dead path converts one fast failure into MaxRetries
+	// slow ones; callers that want failover should re-resolve the route
+	// first.
 	ErrPeerDead = errors.New("core: peer dead (transport gave up delivery)")
 	// errNoConn is a sentinel: the issue path is allocation-free, so it
 	// must not mint a fresh error per call.
@@ -165,18 +165,6 @@ func (c *RpcClient) describeMetrics(reg *metrics.Registry) {
 	reg.RegisterCounter("call.peerdead", &c.PeerDead)
 	reg.RegisterCounter("mark.echoed", &c.Marks)
 	reg.RegisterCounter("conn.miss.echoed", &c.ConnMisses)
-}
-
-// backoffScale maps connID's most recent congestion hint to the integer
-// backoff multiplier the retry helpers apply (1 when the connection is not
-// congested or not open).
-func (c *RpcClient) backoffScale(connID uint32) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cc := c.conns[connID]; cc != nil {
-		return dataplane.BackoffScale(cc.win.LastHint)
-	}
-	return 1
 }
 
 // NewRpcClient binds a client to flow flowID of nic. Each flow should back
@@ -448,7 +436,7 @@ func (c *RpcClient) issue(connID uint32, fnID uint16, req []byte, budget uint32,
 	if cc.win.Full() {
 		// AIMD window full: refuse locally instead of piling onto a queue
 		// that just told us it is congested. Nothing was sent, so the
-		// caller (typically CallRetry) can back off and try again.
+		// caller can back off and try again.
 		c.mu.Unlock()
 		c.Refused.Add(1)
 		return nil, ErrCongested

@@ -18,7 +18,6 @@ type Completion struct {
 type CompletionQueue struct {
 	mu      sync.Mutex
 	entries []Completion
-	count   uint64
 }
 
 // NewCompletionQueue returns an empty queue.
@@ -29,7 +28,6 @@ func NewCompletionQueue() *CompletionQueue {
 func (q *CompletionQueue) complete(c Completion) {
 	q.mu.Lock()
 	q.entries = append(q.entries, c)
-	q.count++
 	q.mu.Unlock()
 }
 
@@ -52,11 +50,4 @@ func (q *CompletionQueue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.entries)
-}
-
-// Total returns the number of completions ever enqueued.
-func (q *CompletionQueue) Total() uint64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.count
 }

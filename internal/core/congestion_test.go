@@ -10,7 +10,6 @@ import (
 
 	"dagger/internal/dataplane"
 	"dagger/internal/fabric"
-	"dagger/internal/retry"
 	"dagger/internal/wire"
 )
 
@@ -180,19 +179,16 @@ func TestClientCongestionLoop(t *testing.T) {
 		t.Fatalf("window = %d, want one halving to %d", st.Size, dataplane.DefaultMaxWindow/2)
 	}
 	// The marked responses drain after the clean ones (ring order), so the
-	// surviving hint is congested and scales retry backoff.
+	// surviving hint is congested.
 	if st.LastHint < dataplane.MarkHint {
 		t.Fatalf("last hint %d not congested after marked drain", st.LastHint)
-	}
-	if scale := cli.backoffScale(conn); scale < 2 {
-		t.Fatalf("backoff scale = %d, want >= 2 while congested", scale)
 	}
 }
 
 // TestCongestionWindowRefusal pins the client-side enforcement half: a full
 // AIMD window refuses new issues with ErrCongested before anything reaches
-// the NIC, the refusal is counted, and CallConnRetry treats it as safe to
-// retry — succeeding once the window reopens.
+// the NIC, the refusal is counted, and a plain CallConn succeeds once the
+// held call completes and the window reopens.
 func TestCongestionWindowRefusal(t *testing.T) {
 	cli, conn, started, release, cleanup := congestedPair(t, 256)
 	defer cleanup()
@@ -227,22 +223,17 @@ func TestCongestionWindowRefusal(t *testing.T) {
 		t.Fatalf("refused = %d, want 1", got)
 	}
 
-	// CallConnRetry backs off (scaled by the congested hint) and succeeds
-	// once the held call completes and frees the window.
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		close(release)
-	}()
-	p := retry.Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond, Multiplier: 2, MaxAttempts: 10, Seed: 7}
-	resp, err := cli.CallConnRetry(context.Background(), p, conn, 0, []byte("again"))
+	// The held call's completion frees the window: the next call goes out.
+	close(release)
+	wg.Wait()
+	resp, err := cli.CallConn(conn, 0, []byte("again"))
 	if err != nil {
-		t.Fatalf("retry after window reopened: %v", err)
+		t.Fatalf("call after window reopened: %v", err)
 	}
 	if string(resp) != "again" {
 		t.Fatalf("resp = %q", resp)
 	}
 	cli.Release(resp)
-	wg.Wait()
 
 	cli.mu.Lock()
 	st := cli.conns[conn].win

@@ -111,7 +111,7 @@ func TestAsyncCallCompletion(t *testing.T) {
 		t.Fatal("async callback never fired")
 	}
 	// The completion queue accumulated it too.
-	if cli.CompletionQueue().Total() != 1 {
+	if cli.CompletionQueue().Len() != 1 {
 		t.Fatal("completion queue missed the completion")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dagger/internal/fabric"
-	"dagger/internal/retry"
 	"dagger/internal/ringbuf"
 )
 
@@ -410,79 +409,6 @@ func TestConcurrentCallCancelCloseStress(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	cli.Close()
 	wg.Wait()
-}
-
-// TestCallRetryRingFull drives CallRetry against a full request ring (the
-// server is never started, so nothing drains it): every attempt fails with
-// the retryable fabric.ErrRingFull, the policy's attempt budget is
-// consumed, and the last error surfaces.
-func TestCallRetryRingFull(t *testing.T) {
-	f := fabric.NewFabric()
-	const ringSize = 8
-	if _, err := f.CreateNIC(2, 1, ringSize); err != nil {
-		t.Fatal(err)
-	}
-	nicA, err := f.CreateNIC(1, 1, ringSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := NewRpcClient(nicA, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.OpenConnection(2); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fill the server's request ring.
-	for i := 0; i < ringSize; i++ {
-		if err := cli.CallAsync(0, nil, nil); err != nil {
-			t.Fatalf("fill %d: %v", i, err)
-		}
-	}
-
-	p := retry.Policy{Base: time.Millisecond, Max: 4 * time.Millisecond, Multiplier: 2, MaxAttempts: 3, Seed: 1}
-	_, err = cli.CallRetry(context.Background(), p, 0, nil)
-	if !errors.Is(err, fabric.ErrRingFull) {
-		t.Fatalf("err = %v, want ErrRingFull", err)
-	}
-	if drops := nicA.Drops.Load(); drops != uint64(p.MaxAttempts) {
-		t.Fatalf("send attempts = %d, want %d", drops, p.MaxAttempts)
-	}
-
-	// With a ctx budget too small to absorb the next backoff, the retry
-	// loop stops early and reports exhaustion wrapping the last error.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	p.Base = 50 * time.Millisecond
-	p.Max = 100 * time.Millisecond
-	_, err = cli.CallRetry(ctx, p, 0, nil)
-	if !errors.Is(err, retry.ErrBudgetExhausted) || !errors.Is(err, fabric.ErrRingFull) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted wrapping ErrRingFull", err)
-	}
-}
-
-// TestRetryableClassification pins the safe-to-retry set: only errors that
-// prove the request never executed qualify.
-func TestRetryableClassification(t *testing.T) {
-	for _, tc := range []struct {
-		err  error
-		want bool
-	}{
-		{ErrShed, true},
-		{fabric.ErrRingFull, true},
-		{ErrCongested, true},
-		{ErrTimeout, false},
-		{ErrRemote, false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-		{nil, false},
-	} {
-		if got := Retryable(tc.err); got != tc.want {
-			t.Errorf("Retryable(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
 }
 
 // TestDoneContextFailsFast pins the pre-issue check: a ctx that is already

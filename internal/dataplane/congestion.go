@@ -6,10 +6,12 @@ package dataplane
 // occupancy has crossed the mark threshold the frame is stamped with an
 // ECN-style congestion-experienced bit plus a one-byte occupancy hint. The
 // server echoes the stamp into its response, and the client reacts: an
-// AIMD-style in-flight window (Window) plus a backoff scale for the retry
-// policy (BackoffScale). Like every decision in this package the functions
-// are integer-only and allocation-free, so both substrates reach
-// byte-identical mark decisions from the same inputs.
+// AIMD-style in-flight window (Window) plus a backoff scale (BackoffScale)
+// for the capped exponential backoff (Backoff) a refused issue waits out;
+// the reliable transport's retransmissions run the same Backoff. Like every
+// decision in this package the functions are integer-only and
+// allocation-free, so both substrates reach byte-identical mark decisions
+// from the same inputs.
 
 // MarkHint is the smallest occupancy hint that encodes a congested queue.
 // OccupancyHint quantizes depth/capacity onto [0, 255] such that
@@ -51,7 +53,7 @@ func OccupancyHint(depth, capacity int) uint8 {
 
 // Window is one connection's congestion control loop: an AIMD in-flight
 // window driven by the marks echoed in responses, plus the hint that scales
-// the retry backoff. The functional client keeps one per connection and the
+// the refusal backoff. The functional client keeps one per connection and the
 // timing-model congestion point keeps one per run; neither is safe for
 // concurrent use, so callers serialise access.
 type Window struct {
@@ -103,7 +105,7 @@ func (w *Window) OnResponse(seq, issued uint64, marked bool, hint uint8) {
 }
 
 // BackoffScale maps the most recent occupancy hint to an integer multiplier
-// for the retry policy's backoff: 1 below the mark threshold (no change),
+// for Backoff's delay: 1 below the mark threshold (no change),
 // 2 for a congested queue, 4 for a queue in the top quarter of its capacity.
 // Integer steps keep the schedule deterministic and cheap to apply.
 func BackoffScale(hint uint8) int {
@@ -115,4 +117,23 @@ func BackoffScale(hint uint8) int {
 	default:
 		return 4
 	}
+}
+
+// Backoff is the capped exponential backoff both substrates run: the delay
+// before attempt (1-based) is base doubled once per attempt after the first,
+// capped at max. attempt < 1 or base <= 0 waits 0. Units are the caller's
+// (nanoseconds on both substrates); no jitter is drawn, so the schedule is a
+// pure function of its inputs.
+func Backoff(base, max int64, attempt int) int64 {
+	if attempt < 1 || base <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < attempt; i++ {
+		if d > max/2 { // doubling would pass the cap (or overflow)
+			return max
+		}
+		d *= 2
+	}
+	return min(d, max)
 }

@@ -151,3 +151,42 @@ func TestBackoffScale(t *testing.T) {
 		}
 	}
 }
+
+func TestBackoff(t *testing.T) {
+	const maxInt64 = int64(^uint64(0) >> 1)
+	cases := []struct {
+		base, max int64
+		attempt   int
+		want      int64
+	}{
+		{10, 80, 0, 0},              // no attempt, no wait
+		{10, 80, -3, 0},             // negative attempt
+		{10, 80, 1, 10},             // first retry waits base
+		{10, 80, 2, 20},             // doubling
+		{10, 80, 3, 40},             //
+		{10, 80, 4, 80},             // cap reached exactly
+		{10, 80, 5, 80},             // and held
+		{10, 50, 3, 40},             //
+		{10, 50, 4, 50},             // cap reached mid-doubling (80 > 50)
+		{10, 5, 1, 5},               // cap below base
+		{0, 80, 3, 0},               // base <= 0 never waits
+		{-10, 80, 3, 0},             //
+		{1, maxInt64, 64, maxInt64}, // 2^63 would overflow: capped instead
+		{1, maxInt64, 63, 1 << 62},
+		{3, 1 << 40, 64, 1 << 40},
+	}
+	for _, c := range cases {
+		if got := Backoff(c.base, c.max, c.attempt); got != c.want {
+			t.Errorf("Backoff(%d, %d, %d) = %d, want %d", c.base, c.max, c.attempt, got, c.want)
+		}
+	}
+	// The schedule never decreases with the attempt number.
+	prev := int64(0)
+	for a := 0; a <= 70; a++ {
+		d := Backoff(7, 1000, a)
+		if d < prev {
+			t.Fatalf("attempt %d: %d < previous %d", a, d, prev)
+		}
+		prev = d
+	}
+}

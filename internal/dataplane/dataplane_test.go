@@ -186,6 +186,7 @@ func TestDecisionFunctionsZeroAlloc(t *testing.T) {
 		{"OccupancyHint", func() { sinkB = OccupancyHint(9, 16) > 0 }},
 		{"Window.OnResponse", func() { w.OnResponse(2, 3, true, 200) }},
 		{"BackoffScale", func() { sink = uint16(BackoffScale(200)) }},
+		{"Backoff", func() { sinkB = Backoff(1000, 64000, 5) > 0 }},
 	}
 	for _, c := range checks {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"time"
 
 	"dagger/internal/dataplane"
 	"dagger/internal/interconnect"
 	"dagger/internal/metrics"
-	"dagger/internal/retry"
 	"dagger/internal/sim"
 	"dagger/internal/stats"
 	"dagger/internal/wire"
@@ -145,9 +143,6 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 		// Open loop: the window never binds and no response is marked.
 		win = dataplane.NewWindow(dataplane.DefaultMaxWindow)
 	}
-	pol := retry.Policy{
-		Base: time.Duration(service), Max: time.Duration(64 * service), Multiplier: 2,
-	}
 
 	var firstArrival, lastCompletion sim.Time
 	inBudget := 0
@@ -180,7 +175,8 @@ func RunCongestionPoint(cfg CongestionConfig) *CongestionResult {
 		}
 		if win.Full() {
 			res.Refused++
-			d := pol.ScaledBackoff(try, dataplane.BackoffScale(win.LastHint))
+			d := dataplane.Backoff(int64(service), int64(64*service), try) *
+				int64(dataplane.BackoffScale(win.LastHint))
 			eng.After(sim.Time(d), func() { attempt(start, try+1) })
 			return
 		}

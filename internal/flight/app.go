@@ -381,6 +381,7 @@ func (a *App) checkIn(ctx context.Context, cli *core.RpcClient, conns map[uint32
 		mu.Lock()
 		res.gate = d.Uint32()
 		mu.Unlock()
+		cli.Release(out)
 	}); err != nil {
 		wg.Done()
 		fail(err)
@@ -401,6 +402,7 @@ func (a *App) checkIn(ctx context.Context, cli *core.RpcClient, conns map[uint32
 		mu.Lock()
 		res.bagsOK = d.Bool()
 		mu.Unlock()
+		cli.Release(out)
 	}); err != nil {
 		wg.Done()
 		fail(err)
@@ -420,12 +422,18 @@ func (a *App) checkIn(ctx context.Context, cli *core.RpcClient, conns map[uint32
 		mu.Lock()
 		res.passOK = d.Bool()
 		mu.Unlock()
+		cli.Release(out)
 	}); err != nil {
 		wg.Done()
 		fail(err)
 	}
 
 	wg.Wait()
+	// Each completion was queued before its callback ran, so by now the
+	// queue holds this fan-out's entries (and perhaps a concurrent one's).
+	// The callbacks consumed and released their replies; drop the entries
+	// without touching those buffers.
+	cli.CompletionQueue().Poll(0)
 	if firstErr != nil {
 		return nil, firstErr
 	}

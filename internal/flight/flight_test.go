@@ -30,6 +30,30 @@ func TestFunctionalAppRegistersPassenger(t *testing.T) {
 	}
 }
 
+// TestCheckInDrainsCompletions pins that the check-in fan-out leaves no
+// async completion queued: every client's CompletionQueue is empty after a
+// run of registrations, so no reply buffer is held forever.
+func TestCheckInDrainsCompletions(t *testing.T) {
+	app, err := New(Config{Citizens: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	const n = 50
+	for i := 0; i < n; i++ {
+		if _, err := app.RegisterPassenger(Passenger{ID: uint64(i), FlightNo: 7, Bags: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for pi, pool := range app.pools {
+		for ci := 0; ci < pool.Size(); ci++ {
+			if got := pool.Client(ci).CompletionQueue().Len(); got != 0 {
+				t.Errorf("pool %d client %d: %d completions left queued after %d registrations", pi, ci, got, n)
+			}
+		}
+	}
+}
+
 func TestFunctionalAppStaffLookup(t *testing.T) {
 	app, err := New(Config{Citizens: 100})
 	if err != nil {

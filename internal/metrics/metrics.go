@@ -92,13 +92,13 @@ type Histogram struct {
 // NewHistogram returns a histogram at stats.SubBits precision; memory is
 // ~8 B per bucket (≈15 KB).
 func NewHistogram() *Histogram {
-	return &Histogram{counts: make([]atomic.Uint64, stats.NumBuckets(stats.SubBits))}
+	return &Histogram{counts: make([]atomic.Uint64, stats.NumBuckets())}
 }
 
 // Observe records one value. Negative values clamp to zero (the shared
 // stats geometry's convention).
 func (h *Histogram) Observe(v int64) {
-	h.counts[stats.BucketIndex(stats.SubBits, v)].Add(1)
+	h.counts[stats.BucketIndex(v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(v)
 }
@@ -111,7 +111,7 @@ func (h *Histogram) snapshotBuckets() []Bucket {
 	out := make([]Bucket, 0, len(h.counts))
 	for i := range h.counts {
 		if n := h.counts[i].Load(); n > 0 {
-			out = append(out, Bucket{Low: stats.BucketLow(stats.SubBits, i), Count: n})
+			out = append(out, Bucket{Low: stats.BucketLow(i), Count: n})
 		}
 	}
 	return out

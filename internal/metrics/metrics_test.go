@@ -123,14 +123,14 @@ func TestHistogramGeometryMatchesStats(t *testing.T) {
 		// stats.Percentile clamps to [min, max] while Quantile returns the
 		// raw bucket low, so compare at bucket granularity.
 		want := ref.Percentile(p)
-		if stats.BucketIndex(stats.SubBits, got) != stats.BucketIndex(stats.SubBits, want) {
+		if stats.BucketIndex(got) != stats.BucketIndex(want) {
 			t.Fatalf("p%.0f = %d, want bucket of %d", p, got, want)
 		}
 	}
 	// Exact bucket boundary values must round-trip exactly.
 	for _, v := range []int64{64, 256, 1024, 4096} {
-		i := stats.BucketIndex(stats.SubBits, v)
-		if low := stats.BucketLow(stats.SubBits, i); low != v {
+		i := stats.BucketIndex(v)
+		if low := stats.BucketLow(i); low != v {
 			t.Fatalf("boundary %d maps to bucket low %d", v, low)
 		}
 	}

@@ -31,28 +31,28 @@ func NewHistogram() *Histogram {
 }
 
 // BucketIndex returns the bucket holding value v in the log-bucketed
-// geometry with 1<<subBits sub-buckets per power of two. The geometry is
+// geometry with 1<<SubBits sub-buckets per power of two. The geometry is
 // shared with internal/metrics, whose fixed-size histograms preallocate
 // NumBuckets counters so the observation path never grows a slice.
-func BucketIndex(subBits uint, v int64) int {
+func BucketIndex(v int64) int {
 	if v < 0 {
 		v = 0
 	}
-	sub := int64(1) << subBits
+	const sub = int64(1) << SubBits
 	if v < sub {
 		return int(v)
 	}
 	// Position of the leading bit above the linear range.
 	lead := 63 - bits.LeadingZeros64(uint64(v))
-	octave := lead - int(subBits)
+	octave := lead - SubBits
 	offset := (v >> uint(octave)) - sub // 0..sub-1 within the octave
 	return int(sub) + octave*int(sub) + int(offset)
 }
 
 // BucketLow returns the lowest value mapping to bucket i (the inverse of
 // BucketIndex, used for percentile reconstruction).
-func BucketLow(subBits uint, i int) int64 {
-	sub := int64(1) << subBits
+func BucketLow(i int) int64 {
+	const sub = int64(1) << SubBits
 	if int64(i) < sub {
 		return int64(i)
 	}
@@ -66,16 +66,10 @@ func BucketLow(subBits uint, i int) int64 {
 }
 
 // NumBuckets returns the number of buckets the geometry needs to cover the
-// whole non-negative int64 range at the given precision.
-func NumBuckets(subBits uint) int {
-	return BucketIndex(subBits, math.MaxInt64) + 1
+// whole non-negative int64 range.
+func NumBuckets() int {
+	return BucketIndex(math.MaxInt64) + 1
 }
-
-func (h *Histogram) bucketIndex(v int64) int { return BucketIndex(SubBits, v) }
-
-// bucketLow returns the lowest value mapping to bucket i (inverse of
-// bucketIndex, used for percentile reconstruction).
-func (h *Histogram) bucketLow(i int) int64 { return BucketLow(SubBits, i) }
 
 // Record adds one observation.
 func (h *Histogram) Record(v int64) { h.RecordN(v, 1) }
@@ -85,7 +79,7 @@ func (h *Histogram) RecordN(v int64, n uint64) {
 	if n == 0 {
 		return
 	}
-	idx := h.bucketIndex(v)
+	idx := BucketIndex(v)
 	for idx >= len(h.counts) {
 		h.counts = append(h.counts, 0)
 	}
@@ -131,7 +125,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			v := h.bucketLow(i)
+			v := BucketLow(i)
 			if v < h.min {
 				v = h.min
 			}

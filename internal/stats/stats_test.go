@@ -96,20 +96,19 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 	}
 }
 
-// Property: bucketLow(bucketIndex(v)) <= v and the bucket width bound holds.
+// Property: BucketLow(BucketIndex(v)) <= v and the bucket width bound holds.
 func TestHistogramBucketInverseProperty(t *testing.T) {
-	h := NewHistogram()
 	f := func(v int64) bool {
 		if v < 0 {
 			v = -v
 		}
-		idx := h.bucketIndex(v)
-		low := h.bucketLow(idx)
+		idx := BucketIndex(v)
+		low := BucketLow(idx)
 		if low > v {
 			return false
 		}
 		// Upper bound: next bucket's low must exceed v.
-		return h.bucketLow(idx+1) > v
+		return BucketLow(idx+1) > v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -168,11 +167,11 @@ func TestCDFProperty(t *testing.T) {
 
 // refBucketIndex is BucketIndex with the leading-zero count done by the
 // shift loop the bits.LeadingZeros64 call replaced; it is the reference.
-func refBucketIndex(subBits uint, v int64) int {
+func refBucketIndex(v int64) int {
 	if v < 0 {
 		v = 0
 	}
-	sub := int64(1) << subBits
+	const sub = int64(1) << SubBits
 	if v < sub {
 		return int(v)
 	}
@@ -180,7 +179,7 @@ func refBucketIndex(subBits uint, v int64) int {
 	for x := uint64(v); x&(1<<63) == 0; x <<= 1 {
 		lz++
 	}
-	octave := 63 - lz - int(subBits)
+	octave := 63 - lz - SubBits
 	offset := (v >> uint(octave)) - sub
 	return int(sub) + octave*int(sub) + int(offset)
 }
@@ -190,11 +189,9 @@ func TestBucketIndexMatchesShiftLoop(t *testing.T) {
 	for k := 0; k < 63; k++ {
 		vals = append(vals, 1<<k-1, 1<<k, 1<<k+1)
 	}
-	for subBits := uint(0); subBits <= 10; subBits++ {
-		for _, v := range vals {
-			if got, want := BucketIndex(subBits, v), refBucketIndex(subBits, v); got != want {
-				t.Fatalf("BucketIndex(%d, %d) = %d, want %d", subBits, v, got, want)
-			}
+	for _, v := range vals {
+		if got, want := BucketIndex(v), refBucketIndex(v); got != want {
+			t.Fatalf("BucketIndex(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dagger/internal/dataplane"
 	"dagger/internal/metrics"
-	"dagger/internal/retry"
 )
 
 // Reliable layers the paper's missing Protocol unit over a lossy
@@ -39,7 +39,6 @@ type Reliable struct {
 	initWnd    float64
 	maxWnd     float64
 	mask       uint64 // send-ring slots - 1
-	backoff    retry.Policy
 
 	mu         sync.Mutex
 	peers      map[string]*peer
@@ -198,19 +197,8 @@ func NewReliable(inner PacketConn, opts ReliableOptions) *Reliable {
 		initWnd:    opts.InitialWindow,
 		maxWnd:     opts.MaxWindow,
 		mask:       slots - 1,
-		// Exponential backoff from RTO: successive retransmissions of the
-		// same packet wait longer, so a congested path is not hammered at a
-		// fixed cadence. Jitter decorrelates peers that lost packets in the
-		// same burst; the fixed seed keeps schedules reproducible.
-		backoff: retry.Policy{
-			Base:       opts.RTO,
-			Max:        8 * opts.RTO,
-			Multiplier: 2,
-			Jitter:     0.1,
-			Seed:       0xDA66,
-		},
-		peers: make(map[string]*peer),
-		stop:  make(chan struct{}),
+		peers:      make(map[string]*peer),
+		stop:       make(chan struct{}),
 	}
 	inner.SetHandler(r.onPacket)
 	r.wg.Add(1)
@@ -505,10 +493,14 @@ func (r *Reliable) scanLocked(endpoint string, p *peer, now time.Time, out, dead
 			continue
 		}
 		base = min(base, seq)
-		// Exponential backoff per attempt: the next deadline stretches with
-		// each retransmission of this packet.
+		// Exponential backoff from RTO, capped at 8·RTO: each
+		// retransmission of this packet waits twice as long as the last,
+		// so a congested path is not hammered at a fixed cadence. No
+		// jitter: deadlines only fire on the RTO/4 tick, which already
+		// batches every overdue packet of every peer together.
 		retransmitted = true
-		sl.deadline = now.Add(r.backoff.Backoff(sl.tries))
+		rto := int64(r.rto)
+		sl.deadline = now.Add(time.Duration(dataplane.Backoff(rto, 8*rto, sl.tries)))
 		r.Retransmits.Add(1)
 		sl.sending.Add(1)
 		out = append(out, outFrame{endpoint, sl.buf, sl})

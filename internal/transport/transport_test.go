@@ -619,9 +619,6 @@ func TestBridgeDeadLetterFailsFast(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("dead-letter verdict took %v; fail-fast path did not engage", elapsed)
 	}
-	if core.Retryable(err) {
-		t.Fatal("ErrPeerDead must not be retryable")
-	}
 	if b.DeadLetters.Load() == 0 {
 		t.Fatal("bridge dead-letter counter not bumped")
 	}
